@@ -1,10 +1,10 @@
 // Generic freelist object pool with RAII checkout handles.
 //
 // The steady-state packet path must not touch the global allocator (see
-// docs/MEMORY.md): every shard -- and, with lanes enabled, every lane --
-// owns pools for the objects it churns per packet, so hot-path acquire and
-// release are a mutex-guarded freelist pop/push that recycle the object's
-// heap capacity (vector buffers, map nodes) instead of freeing it.
+// docs/MEMORY.md): every shard owns pools for the objects it churns per
+// packet, so hot-path acquire and release are a freelist pop/push that
+// recycle the object's heap capacity (vector buffers, map nodes) instead of
+// freeing it.
 //
 // Shape follows the terichdb DbContextObjCache pattern: checkout returns an
 // RAII Handle; destroying the Handle scrubs the object and returns it to the
@@ -14,18 +14,17 @@
 //    PR 7 ladder bucket-pool ratchet lesson: a count bound lets a few huge
 //    buffers pin unbounded memory). Oversized objects are freed on return,
 //    and returns beyond `max_retained_bytes` are freed rather than pooled.
-//  * Handles may outlive the pool facade and may be released from another
-//    thread or lane: the freelist lives in a shared Core kept alive by every
-//    outstanding Handle, and returns take the owning pool's mutex. Pool
-//    traffic never feeds simulation values, so cross-lane returns cannot
-//    perturb determinism -- only which freelist a buffer sleeps in.
+//  * Handles may outlive the pool facade: the freelist lives in a shared
+//    Core kept alive by every outstanding Handle.
+//
+// A pool is single-threaded: it and all of its Handles belong to the one
+// thread that runs the owning shard, so there is no lock.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace jqos::common {
@@ -67,41 +66,32 @@ class ObjPool {
     }
 
     T* take() {
-      T* p = nullptr;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        ++outstanding;
-        high_water = std::max(high_water, outstanding);
-        if (!free_list.empty()) {
-          p = free_list.back();
-          free_list.pop_back();
-          pooled_bytes -= ObjPoolTraits<T>::bytes_of(*p);
-          ++reused;
-        } else {
-          ++fresh;
-        }
+      ++outstanding;
+      high_water = std::max(high_water, outstanding);
+      if (free_list.empty()) {
+        ++fresh;
+        return new T();
       }
-      return p ? p : new T();
+      T* p = free_list.back();
+      free_list.pop_back();
+      pooled_bytes -= ObjPoolTraits<T>::bytes_of(*p);
+      ++reused;
+      return p;
     }
 
-    // Safe from any thread; see the cross-lane rule in the header comment.
     void give(T* obj) {
       ObjPoolTraits<T>::reset(*obj);
       const std::size_t b = ObjPoolTraits<T>::bytes_of(*obj);
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        --outstanding;
-        if (b <= limits.max_object_bytes &&
-            pooled_bytes + b <= limits.max_retained_bytes) {
-          pooled_bytes += b;
-          free_list.push_back(obj);
-          return;
-        }
+      --outstanding;
+      if (b <= limits.max_object_bytes &&
+          pooled_bytes + b <= limits.max_retained_bytes) {
+        pooled_bytes += b;
+        free_list.push_back(obj);
+        return;
       }
       delete obj;
     }
 
-    mutable std::mutex mu;
     Limits limits;
     std::vector<T*> free_list;
     std::size_t pooled_bytes = 0;  // bytes retained by free_list entries
@@ -163,39 +153,17 @@ class ObjPool {
 
   // Frees everything currently pooled (outstanding handles are unaffected).
   void trim() {
-    std::vector<T*> victims;
-    {
-      std::lock_guard<std::mutex> lk(core_->mu);
-      victims.swap(core_->free_list);
-      core_->pooled_bytes = 0;
-    }
-    for (T* p : victims) delete p;
+    for (T* p : core_->free_list) delete p;
+    core_->free_list.clear();
+    core_->pooled_bytes = 0;
   }
 
-  std::size_t pooled_bytes() const {
-    std::lock_guard<std::mutex> lk(core_->mu);
-    return core_->pooled_bytes;
-  }
-  std::size_t pooled_count() const {
-    std::lock_guard<std::mutex> lk(core_->mu);
-    return core_->free_list.size();
-  }
-  std::size_t outstanding() const {
-    std::lock_guard<std::mutex> lk(core_->mu);
-    return core_->outstanding;
-  }
-  std::size_t high_water() const {
-    std::lock_guard<std::mutex> lk(core_->mu);
-    return core_->high_water;
-  }
-  std::uint64_t reused() const {
-    std::lock_guard<std::mutex> lk(core_->mu);
-    return core_->reused;
-  }
-  std::uint64_t fresh() const {
-    std::lock_guard<std::mutex> lk(core_->mu);
-    return core_->fresh;
-  }
+  std::size_t pooled_bytes() const { return core_->pooled_bytes; }
+  std::size_t pooled_count() const { return core_->free_list.size(); }
+  std::size_t outstanding() const { return core_->outstanding; }
+  std::size_t high_water() const { return core_->high_water; }
+  std::uint64_t reused() const { return core_->reused; }
+  std::uint64_t fresh() const { return core_->fresh; }
 
  private:
   std::shared_ptr<Core> core_;

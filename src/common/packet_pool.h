@@ -13,13 +13,15 @@
 //
 // Call sites keep the existing PacketPtr type: a pooled packet is
 // indistinguishable from a heap one, and a null pool everywhere means plain
-// make_shared (exactly the JQOS_OBJ_POOL=0 passthrough). The deleter and
-// allocator hold a raw pointer to the pool core -- refcounting it through a
-// shared_ptr would cost half a dozen atomic ops per packet -- and the core
-// counts its outstanding packets and control blocks intrusively: it deletes
-// itself when the facade is gone AND the last piece of storage returns, so
-// packets that outlive their pool (or return from another lane) still
-// recycle safely.
+// make_shared (exactly the JQOS_OBJ_POOL=0 passthrough).
+//
+// A pool is single-threaded: one shard owns it, and only the thread running
+// that shard acquires from it or releases into it, so the freelists are
+// plain vectors with no lock. Packets may outlive the pool facade (a
+// shard's simulator dies after its pool with packets still captured in
+// queued events): the deleter and allocator hold a raw pointer to the pool
+// core, which counts its checked-out storage and deletes itself once the
+// facade is gone AND the last piece of storage has come home.
 //
 // Retained memory is bounded by total bytes across packets, control blocks,
 // and salvaged key vectors (never by object count -- the PR 7 ratchet
@@ -44,7 +46,7 @@ class PacketPool {
   };
 
   // Reads JQOS_OBJ_POOL at construction (not a static cache) so one process
-  // can compare both modes; "0" disables pooling, anything else enables it.
+  // can compare both modes; see env_enabled().
   PacketPool() : PacketPool(env_enabled()) {}
   // Two overloads rather than a defaulted Limits argument: a nested
   // aggregate's member initializers are not usable in a default argument
@@ -76,22 +78,21 @@ class PacketPool {
   std::size_t pooled_bytes() const;
   std::size_t high_water() const;  // max simultaneously outstanding packets
   std::size_t outstanding() const;
-  std::uint64_t reused() const;  // freelist + thread-local stash hits
+  std::uint64_t reused() const;  // freelist hits
   std::uint64_t fresh() const;   // global-allocator constructions
 
+  // JQOS_OBJ_POOL: unset or "1" -> pooling on, "0" -> off. Any other value
+  // throws std::invalid_argument naming the variable, the value, and the
+  // accepted forms -- a typo must not silently pick a mode.
   static bool env_enabled();
 
-  // Opaque shared freelist state (defined in packet_pool.cc); public only so
-  // the file-local deleter and control-block allocator can name it.
+  // Opaque freelist state (defined in packet_pool.cc); public only so the
+  // file-local deleter and control-block allocator can name it.
   struct Core;
 
  private:
   bool enabled_;
   Core* core_;  // Self-deleting once orphaned and drained; see ~PacketPool.
-  // Stash-hit count, kept on the facade because the stash fast path must
-  // not touch the core (no lock) and an empty stash must not pin it.
-  // Plain (non-atomic): acquire is single-threaded per the lane contract.
-  std::uint64_t stash_reused_ = 0;
 };
 
 }  // namespace jqos

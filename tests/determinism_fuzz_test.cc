@@ -1,22 +1,23 @@
 // Randomized determinism torture test: ~50 seeded mini-scenarios sweeping
 // the configuration space -- path counts, service selection, direct-send vs
 // path switching, faults, failover, session churn, AQM disciplines, and
-// congestion-control kinds -- each run under several (lanes, lane_threads,
-// event-queue backend) configurations that MUST all produce bit-identical
-// fingerprints. The point is breadth: the targeted determinism suites pin
-// specific mechanisms; this one hunts for interactions nobody thought to
-// pin. Every scenario is derived from a fixed master seed, so a failure
-// reproduces exactly from the printed scenario index.
+// congestion-control kinds -- each run under several (event-queue backend,
+// packet pooling, worker thread count) configurations that MUST all produce
+// bit-identical fingerprints. The point is breadth: the targeted determinism
+// suites pin specific mechanisms; this one hunts for interactions nobody
+// thought to pin. Every scenario is derived from a fixed master seed, so a
+// failure reproduces exactly from the printed scenario index.
 //
-// Deliberately NOT asserted: lanes=0 vs lanes>=1 (the classic loop resolves
-// same-microsecond ties by global scheduling order, lanes resolve them
-// canonically), and different shard counts (barriers depend on the shard's
-// local event floor). docs/DETERMINISM.md states both caveats.
+// Deliberately NOT asserted: different shard counts (the churn sketches
+// merge per shard, so their contents depend on the partition).
+// docs/DETERMINISM.md states the caveat.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "app/web.h"
@@ -31,6 +32,7 @@
 namespace jqos {
 namespace {
 
+using jqos::testing::EnvVarGuard;
 using jqos::testing::EvqBackendGuard;
 
 void fnv(std::uint64_t& h, std::uint64_t v) {
@@ -143,38 +145,33 @@ WanCase draw_wan_case(std::uint64_t master, std::uint64_t index) {
   return c;
 }
 
-std::uint64_t run_wan_case(const WanCase& c, std::size_t lanes, unsigned lane_threads,
-                           netsim::EvqBackend backend) {
+// The pool env guard wraps CONSTRUCTION: every PacketPool reads
+// JQOS_OBJ_POOL when it is built.
+std::uint64_t run_wan_case(const WanCase& c, bool pooled, netsim::EvqBackend backend) {
   const EvqBackendGuard evq(backend);
-  exp::WanScenarioParams p = c.params;
-  p.lanes = lanes;
-  p.lane_threads = lane_threads;
-  exp::WanScenario sc(c.paths, p);
+  const EnvVarGuard pool_env("JQOS_OBJ_POOL", std::string(pooled ? "1" : "0"));
+  exp::WanScenario sc(c.paths, c.params);
   sc.run(c.duration);
   return wan_fingerprint(sc);
 }
 
-TEST(DeterminismFuzz, WanScenariosInvariantAcrossLanesThreadsBackends) {
+TEST(DeterminismFuzz, WanScenariosInvariantAcrossBackendsAndPooling) {
   constexpr std::uint64_t kMaster = 0x4a514f53'46555a5aULL;  // "JQOSFUZZ"
   constexpr int kCases = 30;
   for (int i = 0; i < kCases; ++i) {
     SCOPED_TRACE("wan case " + std::to_string(i));
     const WanCase c = draw_wan_case(kMaster, static_cast<std::uint64_t>(i));
-    const std::uint64_t ref =
-        run_wan_case(c, 1, 1, netsim::EvqBackend::kHeap);
-    // A rotating sub-matrix keeps runtime bounded while covering, over the
-    // 30 cases, every (lanes, threads, backend) axis pairing.
-    const std::size_t lanes2 = 2 + static_cast<std::size_t>(i % 3);  // 2..4
-    EXPECT_EQ(ref, run_wan_case(c, lanes2, 2, netsim::EvqBackend::kHeap))
-        << "lanes=" << lanes2 << " threads=2 heap";
-    EXPECT_EQ(ref, run_wan_case(c, 3, 1, netsim::EvqBackend::kLadder))
-        << "lanes=3 threads=1 ladder";
-    EXPECT_EQ(ref, run_wan_case(c, 2, 0, netsim::EvqBackend::kLadder))
-        << "lanes=2 threads=auto ladder";
+    const std::uint64_t ref = run_wan_case(c, /*pooled=*/true, netsim::EvqBackend::kHeap);
+    EXPECT_EQ(ref, run_wan_case(c, /*pooled=*/false, netsim::EvqBackend::kHeap))
+        << "heap, pool off";
+    EXPECT_EQ(ref, run_wan_case(c, /*pooled=*/true, netsim::EvqBackend::kLadder))
+        << "ladder, pool on";
+    EXPECT_EQ(ref, run_wan_case(c, /*pooled=*/false, netsim::EvqBackend::kLadder))
+        << "ladder, pool off";
   }
 }
 
-TEST(DeterminismFuzz, ChurnInvariantAcrossLanesThreadsBackends) {
+TEST(DeterminismFuzz, ChurnInvariantAcrossThreadsAndBackends) {
   constexpr std::uint64_t kMaster = 0x434855524e'5aULL;
   for (int i = 0; i < 10; ++i) {
     SCOPED_TRACE("churn case " + std::to_string(i));
@@ -188,23 +185,25 @@ TEST(DeterminismFuzz, ChurnInvariantAcrossLanesThreadsBackends) {
     cfg.packets_per_second = rng.uniform(50.0, 100.0);
     cfg.max_session_packets = 60;
     cfg.scenario.seed = rng.next_u64();
-    cfg.num_shards = 1;  // FIXED: sketch merge order depends on it.
-    cfg.num_threads = 1;
+    // FIXED at >= 2 so shards really run on several threads; the sketch
+    // contents depend on the partition, not on which thread ran a shard.
+    cfg.num_shards = 2;
     if (rng.bernoulli(0.3)) cfg.scenario.failover.enabled = true;
     if (rng.bernoulli(0.3)) {
       cfg.scenario.faults.link_down("direct:0", msec(700), msec(500));
     }
 
-    auto run = [&](std::size_t lanes, unsigned threads, netsim::EvqBackend backend) {
+    auto run = [&](unsigned threads, netsim::EvqBackend backend) {
       const EvqBackendGuard evq(backend);
       workload::ChurnConfig c = cfg;
-      c.scenario.lanes = lanes;
-      c.scenario.lane_threads = threads;
+      c.num_threads = threads;
       return workload::run_churn(c).fingerprint();
     };
-    const std::uint64_t ref = run(1, 1, netsim::EvqBackend::kHeap);
-    EXPECT_EQ(ref, run(2 + static_cast<std::size_t>(i % 2), 2, netsim::EvqBackend::kHeap));
-    EXPECT_EQ(ref, run(3, 0, netsim::EvqBackend::kLadder));
+    const unsigned nproc = std::max(2u, std::thread::hardware_concurrency());
+    const std::uint64_t ref = run(1, netsim::EvqBackend::kHeap);
+    EXPECT_EQ(ref, run(1, netsim::EvqBackend::kLadder)) << "threads=1 ladder";
+    EXPECT_EQ(ref, run(nproc, netsim::EvqBackend::kHeap)) << "threads=" << nproc << " heap";
+    EXPECT_EQ(ref, run(nproc, netsim::EvqBackend::kLadder)) << "threads=" << nproc << " ladder";
   }
 }
 

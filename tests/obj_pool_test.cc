@@ -1,16 +1,17 @@
 // Object-pool subsystem tests: ObjPool checkout/return RAII semantics,
-// byte-bounded trim limits, high-water accounting, cross-thread (cross-lane)
-// return safety (ASan/TSan validate the Core lifetime rules), PacketPool
+// byte-bounded trim limits, high-water accounting, handles and packets that
+// outlive their pool (ASan validates the Core lifetime rules), PacketPool
 // recycling behind the packet.h factories, the JQOS_OBJ_POOL env gate, and
 // the load-bearing determinism property: WAN-scenario and churn fingerprints
-// are bit-identical with pools on vs off, across event-queue backends and
-// lane counts. Pool state must never feed a simulation value.
+// are bit-identical with pools on vs off, across event-queue backends. Pool
+// state must never feed a simulation value.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <optional>
-#include <thread>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -147,24 +148,6 @@ TEST(ObjPoolTest, TrimFreesEverythingPooled) {
   EXPECT_TRUE(h);
 }
 
-TEST(ObjPoolTest, CrossThreadReleaseIsSafe) {
-  // A lane may hand a pooled object to another lane; the return must take
-  // the OWNER's freelist lock from the releasing thread. ASan/TSan validate.
-  BytePool pool;
-  std::vector<BytePool::Handle> handles;
-  for (int i = 0; i < 8; ++i) {
-    handles.push_back(pool.acquire());
-    handles.back()->assign(64, static_cast<std::uint8_t>(i));
-  }
-  std::vector<std::thread> threads;
-  for (auto& h : handles) {
-    threads.emplace_back([moved = std::move(h)]() mutable { moved.release(); });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.high_water(), 8u);
-}
-
 TEST(ObjPoolTest, HandleOutlivesPoolFacade) {
   // The freelist Core is refcounted: a handle released after the pool facade
   // is gone frees cleanly instead of dangling (the churn engine erases
@@ -199,6 +182,23 @@ TEST(PacketPoolTest, EnvGateReadAtConstruction) {
   {
     const EnvVarGuard unset("JQOS_OBJ_POOL", std::nullopt);
     EXPECT_TRUE(PacketPool::env_enabled());  // Pools default ON.
+  }
+  // Anything but unset/0/1 is a typo, not a mode: it must fail loudly with
+  // the variable, the value, and the accepted forms in the message.
+  for (const char* bad : {"off", "on", "true", "", "2", "01", " 1"}) {
+    SCOPED_TRACE(std::string("JQOS_OBJ_POOL='") + bad + "'");
+    const EnvVarGuard g("JQOS_OBJ_POOL", std::string(bad));
+    EXPECT_THROW(PacketPool{}, std::invalid_argument);
+    try {
+      PacketPool::env_enabled();
+      ADD_FAILURE() << "accepted a bogus value";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("JQOS_OBJ_POOL"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::string("'") + bad + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("expected 0"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("Unset"), std::string::npos) << msg;
+    }
   }
 }
 
@@ -330,14 +330,13 @@ std::uint64_t wan_fingerprint(exp::WanScenario& sc) {
 
 // One lossy coded-path scenario; the pool env guard wraps CONSTRUCTION
 // because every PacketPool reads JQOS_OBJ_POOL when it is built.
-std::uint64_t wan_fp(bool pooled, std::size_t lanes, netsim::EvqBackend backend) {
+std::uint64_t wan_fp(bool pooled, netsim::EvqBackend backend) {
   const EvqBackendGuard evq(backend);
   const EnvVarGuard pool_env("JQOS_OBJ_POOL", std::string(pooled ? "1" : "0"));
   Rng geo_rng(0x706f6f6cULL);
   const auto paths = geo::planetlab_paths(3, geo_rng);
   exp::WanScenarioParams p;
   p.seed = 0xdecafbadULL;
-  p.lanes = lanes;
   p.direct.bernoulli_loss = 0.02;  // Enough loss to exercise NACK/recovery.
   p.cbr.packets_per_second = 60.0;
   exp::WanScenario sc(paths, p);
@@ -347,16 +346,12 @@ std::uint64_t wan_fp(bool pooled, std::size_t lanes, netsim::EvqBackend backend)
 
 TEST(ObjPoolDeterminism, WanFingerprintIdenticalPoolsOnOff) {
   for (const auto backend : {netsim::EvqBackend::kHeap, netsim::EvqBackend::kLadder}) {
-    for (const std::size_t lanes : {std::size_t{0}, std::size_t{2}}) {
-      SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend) +
-                   " lanes=" + std::to_string(lanes));
-      EXPECT_EQ(wan_fp(/*pooled=*/true, lanes, backend),
-                wan_fp(/*pooled=*/false, lanes, backend));
-    }
+    SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend));
+    EXPECT_EQ(wan_fp(/*pooled=*/true, backend), wan_fp(/*pooled=*/false, backend));
   }
 }
 
-std::uint64_t churn_fp(bool pooled, std::size_t lanes, netsim::EvqBackend backend) {
+std::uint64_t churn_fp(bool pooled, netsim::EvqBackend backend) {
   const EvqBackendGuard evq(backend);
   const EnvVarGuard pool_env("JQOS_OBJ_POOL", std::string(pooled ? "1" : "0"));
   workload::ChurnConfig cfg;
@@ -366,7 +361,6 @@ std::uint64_t churn_fp(bool pooled, std::size_t lanes, netsim::EvqBackend backen
   cfg.packets_per_second = 80.0;
   cfg.max_session_packets = 50;
   cfg.scenario.seed = 0xc0ffeeULL;
-  cfg.scenario.lanes = lanes;
   cfg.num_shards = 1;
   cfg.num_threads = 1;
   return workload::run_churn(cfg).fingerprint();
@@ -374,12 +368,8 @@ std::uint64_t churn_fp(bool pooled, std::size_t lanes, netsim::EvqBackend backen
 
 TEST(ObjPoolDeterminism, ChurnFingerprintIdenticalPoolsOnOff) {
   for (const auto backend : {netsim::EvqBackend::kHeap, netsim::EvqBackend::kLadder}) {
-    for (const std::size_t lanes : {std::size_t{0}, std::size_t{2}}) {
-      SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend) +
-                   " lanes=" + std::to_string(lanes));
-      EXPECT_EQ(churn_fp(/*pooled=*/true, lanes, backend),
-                churn_fp(/*pooled=*/false, lanes, backend));
-    }
+    SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend));
+    EXPECT_EQ(churn_fp(/*pooled=*/true, backend), churn_fp(/*pooled=*/false, backend));
   }
 }
 

@@ -50,7 +50,7 @@ class GfBackendGuard {
 
 // Sets (or unsets, via nullopt) one environment variable, restoring the
 // prior value on destruction. Used by the knob-hardening tests to exercise
-// JQOS_SIM_THREADS / JQOS_SIM_LANES / JQOS_EVQ_BACKEND parsing without
+// JQOS_SIM_THREADS / JQOS_OBJ_POOL / JQOS_EVQ_BACKEND parsing without
 // leaking the value into tests scheduled after them.
 class EnvVarGuard {
  public:
