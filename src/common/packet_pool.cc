@@ -1,11 +1,12 @@
 #include "common/packet_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <new>
-#include <stdexcept>
-#include <string>
+#include <optional>
+#include <string_view>
 #include <vector>
+
+#include "common/knobs.h"
 
 namespace jqos {
 
@@ -212,14 +213,11 @@ std::uint64_t PacketPool::reused() const { return core_->reused; }
 std::uint64_t PacketPool::fresh() const { return core_->fresh; }
 
 bool PacketPool::env_enabled() {
-  const char* v = std::getenv("JQOS_OBJ_POOL");
-  if (v == nullptr) return true;
-  const std::string s(v);
-  if (s == "1") return true;
-  if (s == "0") return false;
-  throw std::invalid_argument("JQOS_OBJ_POOL='" + s +
-                              "' is not a valid setting; expected 0 (pooling off) or 1 "
-                              "(pooling on). Unset JQOS_OBJ_POOL to use the default.");
+  return knobs::read(knobs::kObjPool, true, [](std::string_view v) -> std::optional<bool> {
+    if (v == "1") return true;
+    if (v == "0") return false;
+    return std::nullopt;
+  });
 }
 
 }  // namespace jqos

@@ -81,9 +81,8 @@ class PacketPool {
   std::uint64_t reused() const;  // freelist hits
   std::uint64_t fresh() const;   // global-allocator constructions
 
-  // JQOS_OBJ_POOL: unset or "1" -> pooling on, "0" -> off. Any other value
-  // throws std::invalid_argument naming the variable, the value, and the
-  // accepted forms -- a typo must not silently pick a mode.
+  // JQOS_OBJ_POOL: unset or "1" -> pooling on, "0" -> off; see the knob
+  // table in docs/BENCHMARKING.md for the bad-value policy.
   static bool env_enabled();
 
   // Opaque freelist state (defined in packet_pool.cc); public only so the

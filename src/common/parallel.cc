@@ -1,48 +1,44 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <mutex>
-#include <stdexcept>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include "common/knobs.h"
 
 namespace jqos {
 namespace {
 
-// Strict "positive integer" parse for JQOS_SIM_THREADS: the whole
-// string must be digits (an optional leading '+' is tolerated), no sign
-// tricks, no trailing junk. Returns false on anything else, including "".
-bool parse_positive(const char* s, long& out) {
+// Strict "positive integer" parse for JQOS_SIM_THREADS: the whole string
+// must be digits (an optional leading '+' is tolerated), no sign tricks, no
+// trailing junk, and the count must fit an unsigned. nullopt on anything
+// else, including "".
+std::optional<unsigned> parse_thread_count(std::string_view s) {
+  const std::string str(s);
   char* end = nullptr;
-  out = std::strtol(s, &end, 10);
-  return end != s && *end == '\0' && out > 0;
-}
-
-[[noreturn]] void throw_bad_knob(const char* var, const char* value, const char* accepted) {
-  throw std::invalid_argument(std::string(var) + "='" + value + "' is not a valid setting; " +
-                              accepted + ". Unset " + var + " to use the default.");
+  errno = 0;
+  const long v = std::strtol(str.c_str(), &end, 10);
+  if (end == str.c_str() || *end != '\0' || errno == ERANGE || v <= 0 ||
+      static_cast<unsigned long>(v) > std::numeric_limits<unsigned>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<unsigned>(v);
 }
 
 }  // namespace
 
 unsigned resolve_sim_threads(unsigned requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("JQOS_SIM_THREADS")) {
-    long v = 0;
-    if (!parse_positive(env, v)) {
-      // A knob that is set but broken must fail loudly: falling back to 1
-      // thread (or to hardware_concurrency) silently turns a typo into a
-      // perf regression nobody notices.
-      throw_bad_knob("JQOS_SIM_THREADS", env,
-                     "expected a positive integer thread count (e.g. 1, 4, 16)");
-    }
-    return static_cast<unsigned>(v);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return knobs::read(knobs::kSimThreads, hw > 0 ? hw : 1, parse_thread_count);
 }
 
 void parallel_for_indexed(std::size_t n, unsigned threads,

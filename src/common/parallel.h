@@ -17,10 +17,8 @@ namespace jqos {
 //   requested == 0 -> JQOS_SIM_THREADS if set, else
 //                     std::thread::hardware_concurrency().
 // Always returns >= 1. The value never influences results, only wall time.
-//
-// A set-but-bogus JQOS_SIM_THREADS ("0", "-3", "lots", "") throws
-// std::invalid_argument naming the variable, the offending value, and the
-// accepted forms -- a typo'd knob must not silently run sequential.
+// Bad JQOS_SIM_THREADS values follow the knob table's policy
+// (docs/BENCHMARKING.md, "Environment overrides").
 unsigned resolve_sim_threads(unsigned requested = 0);
 
 // Runs fn(i) for every i in [0, n) across `threads` workers (clamped to

@@ -1,15 +1,15 @@
 // Backend selection for the GF(256) buffer kernels: builds the split-nibble
-// tables, probes CPU support once, honors the JQOS_GF_BACKEND override, and
+// tables, probes CPU support once, honors the JQOS_GF_BACKEND knob, and
 // hands gf256.cc a pair of kernel function pointers. This TU contains no
 // ISA-specific code itself — the SSSE3/AVX2 kernels live in their own TUs so
 // only those are built with -mssse3/-mavx2.
 #include "fec/gf256_simd.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
+#include <string_view>
 
+#include "common/knobs.h"
 #include "fec/gf256_simd_impl.h"
 
 namespace jqos::fec {
@@ -41,23 +41,6 @@ bool cpu_supports(GfBackend b) {
 #else
   return b == GfBackend::kScalar;
 #endif
-}
-
-// JQOS_GF_BACKEND, parsed exactly once at first use (the header's documented
-// contract; later setenv calls have no effect and cannot race the getenv).
-// Unset, empty, "auto", or an unrecognized value all mean "no constraint"
-// (unrecognized values must not silently degrade a production encoder to
-// scalar).
-std::optional<GfBackend> env_backend() {
-  static const std::optional<GfBackend> parsed = []() -> std::optional<GfBackend> {
-    const char* v = std::getenv("JQOS_GF_BACKEND");
-    if (v == nullptr || *v == '\0') return std::nullopt;
-    if (std::strcmp(v, "scalar") == 0) return GfBackend::kScalar;
-    if (std::strcmp(v, "ssse3") == 0) return GfBackend::kSsse3;
-    if (std::strcmp(v, "avx2") == 0) return GfBackend::kAvx2;
-    return std::nullopt;
-  }();
-  return parsed;
 }
 
 struct Dispatch {
@@ -135,11 +118,17 @@ std::vector<GfBackend> gf_available_backends() {
 }
 
 GfBackend gf_best_backend() {
-  const auto forced = detail::env_backend();
-  if (forced && gf_backend_available(*forced)) return *forced;
-  if (gf_backend_available(GfBackend::kAvx2)) return GfBackend::kAvx2;
-  if (gf_backend_available(GfBackend::kSsse3)) return GfBackend::kSsse3;
-  return GfBackend::kScalar;
+  const GfBackend best = gf_available_backends().back();
+  const GfBackend forced =
+      knobs::read(knobs::kGfBackend, best, [best](std::string_view v) -> std::optional<GfBackend> {
+        if (v == "auto") return best;
+        for (const GfBackend b : {GfBackend::kScalar, GfBackend::kSsse3, GfBackend::kAvx2}) {
+          if (v == gf_backend_name(b)) return b;
+        }
+        return std::nullopt;
+      });
+  // A valid backend this CPU lacks is a platform fact, not bad input.
+  return gf_backend_available(forced) ? forced : best;
 }
 
 bool gf_set_backend(GfBackend b) {

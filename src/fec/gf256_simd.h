@@ -20,8 +20,9 @@
 //
 //   - programmatically: gf_set_backend(GfBackend::kScalar) — used by the
 //     differential tests and the per-backend bench sweeps;
-//   - environment: JQOS_GF_BACKEND=scalar|ssse3|avx2|auto, read once at
-//     first kernel use — used by CI to force each backend under ASan.
+//   - environment: the JQOS_GF_BACKEND knob (docs/BENCHMARKING.md,
+//     "Environment overrides"), resolved once at first kernel use — used by
+//     CI to force each backend under ASan.
 //
 // gf_set_backend is not synchronized against concurrent kernel calls; switch
 // backends only while no encode/decode is in flight (tests and bench setup).
@@ -48,8 +49,8 @@ bool gf_backend_available(GfBackend b);
 // automatically.
 std::vector<GfBackend> gf_available_backends();
 
-// The backend the dispatcher would pick on its own: the fastest available
-// one, unless the JQOS_GF_BACKEND environment variable narrows the choice.
+// The backend the dispatcher would pick on its own: JQOS_GF_BACKEND if set
+// and available on this CPU, else the fastest available one.
 GfBackend gf_best_backend();
 
 // Forces the kernels onto `b`. Returns false (and leaves the current choice

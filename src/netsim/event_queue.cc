@@ -1,15 +1,14 @@
 #include "netsim/event_queue.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+
+#include "common/knobs.h"
 
 namespace jqos::netsim {
 
@@ -50,19 +49,6 @@ constexpr std::size_t kPoolSlabFactor = 8;
 
 constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 24;  // Entry::slot width.
 
-// Process-wide default-backend override. Sharded runs construct one
-// Simulator per worker thread, so the override is an atomic: setting it
-// concurrently with shard construction is data-race-free (each constructor
-// sees either the old or the new value, never a torn one). Determinism-
-// sensitive callers (ShardedRunner) resolve the backend ONCE on the main
-// thread and pass it to Simulator(EvqBackend) explicitly instead of letting
-// worker threads consult this global.
-// Encoding: -1 = no override, otherwise static_cast<int>(EvqBackend).
-std::atomic<int>& backend_override() {
-  static std::atomic<int> g{-1};
-  return g;
-}
-
 }  // namespace
 
 const char* evq_backend_name(EvqBackend b) {
@@ -76,26 +62,12 @@ const char* evq_backend_name(EvqBackend b) {
 }
 
 EvqBackend evq_default_backend() {
-  const int forced = backend_override().load(std::memory_order_acquire);
-  if (forced >= 0) return static_cast<EvqBackend>(forced);
-  if (const char* env = std::getenv("JQOS_EVQ_BACKEND")) {
-    if (std::strcmp(env, "heap") == 0) return EvqBackend::kHeap;
-    if (std::strcmp(env, "ladder") == 0) return EvqBackend::kLadder;
-    if (std::strcmp(env, "auto") == 0 || env[0] == '\0') return EvqBackend::kLadder;
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr, "[WARN] JQOS_EVQ_BACKEND=%s not recognized (heap|ladder|auto); using ladder\n",
-                   env);
-    }
-  }
-  return EvqBackend::kLadder;
-}
-
-void evq_set_default_backend(EvqBackend b) {
-  backend_override().store(static_cast<int>(b), std::memory_order_release);
-}
-void evq_clear_default_backend() {
-  backend_override().store(-1, std::memory_order_release);
+  return knobs::read(knobs::kEvqBackend, EvqBackend::kLadder,
+                     [](std::string_view v) -> std::optional<EvqBackend> {
+                       if (v == "heap") return EvqBackend::kHeap;
+                       if (v == "ladder" || v == "auto") return EvqBackend::kLadder;
+                       return std::nullopt;
+                     });
 }
 
 std::uint32_t EventQueue::alloc_slot(EventFn&& fn) {

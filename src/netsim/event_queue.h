@@ -27,9 +27,9 @@
 // O(1) and cancelling a fired, cancelled, or unknown id stays a no-op.
 //
 // Backend selection: EventQueue() uses evq_default_backend() -- the
-// process-wide programmatic override if set, else the JQOS_EVQ_BACKEND
-// environment variable (heap|ladder|auto), else the ladder. CI forces each
-// backend through the whole suite; benches sweep both.
+// JQOS_EVQ_BACKEND knob (docs/BENCHMARKING.md, "Environment overrides"),
+// else the ladder. CI forces each backend through the whole suite; benches
+// sweep both.
 #pragma once
 
 #include <algorithm>
@@ -58,16 +58,9 @@ enum class EvqBackend {
 // Human-readable backend name: "heap", "ladder".
 const char* evq_backend_name(EvqBackend b);
 
-// Backend newly constructed queues use: the programmatic override if set,
-// else JQOS_EVQ_BACKEND (heap|ladder|auto; bogus values warn once and fall
-// through), else kLadder.
+// Backend newly constructed queues use: JQOS_EVQ_BACKEND if set, else
+// kLadder. Read on every call.
 EvqBackend evq_default_backend();
-
-// Process-wide programmatic override, used by differential tests and bench
-// sweeps to force full simulations onto one backend. Not synchronized;
-// switch only while no queue is being constructed on another thread.
-void evq_set_default_backend(EvqBackend b);
-void evq_clear_default_backend();
 
 class EventQueue {
  public:

@@ -1,9 +1,6 @@
 #include "netsim/queue_disc.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 
 namespace jqos::netsim {
 
@@ -21,22 +18,6 @@ std::optional<QdiscKind> parse_qdisc_kind(std::string_view name) {
   if (name == "red") return QdiscKind::kRed;
   if (name == "codel") return QdiscKind::kCoDel;
   return std::nullopt;
-}
-
-QdiscKind qdisc_kind_from_env(QdiscKind fallback) {
-  // Parsed exactly once, like JQOS_GF_BACKEND / JQOS_EVQ_BACKEND: later
-  // setenv calls have no effect and cannot race the getenv.
-  static const std::optional<QdiscKind> from_env = []() -> std::optional<QdiscKind> {
-    const char* v = std::getenv("JQOS_QDISC");
-    if (v == nullptr || *v == '\0') return std::nullopt;
-    auto parsed = parse_qdisc_kind(v);
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "[WARN] JQOS_QDISC=%s not recognized (taildrop|red|codel); ignoring\n", v);
-    }
-    return parsed;
-  }();
-  return from_env.value_or(fallback);
 }
 
 // ---- TailDropFifo --------------------------------------------------------

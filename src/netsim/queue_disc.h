@@ -28,6 +28,7 @@
 #include <optional>
 #include <string_view>
 
+#include "common/knobs.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 
@@ -38,13 +39,10 @@ enum class QdiscKind : std::uint8_t { kTailDrop = 0, kRed = 1, kCoDel = 2 };
 const char* qdisc_kind_name(QdiscKind k);
 std::optional<QdiscKind> parse_qdisc_kind(std::string_view name);
 
-// The JQOS_QDISC override (taildrop|red|codel), read once at first use;
-// bogus values warn once and fall back. Applied only where the config left
-// the kind unset, so tests that pin a discipline are immune to the env.
-QdiscKind qdisc_kind_from_env(QdiscKind fallback = QdiscKind::kTailDrop);
-
 struct QdiscConfig {
-  // nullopt resolves through JQOS_QDISC, defaulting to tail-drop.
+  // nullopt resolves through the JQOS_QDISC knob (docs/BENCHMARKING.md,
+  // "Environment overrides"), defaulting to tail-drop. Tests that pin a
+  // discipline are immune to the env.
   std::optional<QdiscKind> kind;
 
   // Hard byte cap shared by every discipline. The default comfortably
@@ -69,7 +67,7 @@ struct QdiscConfig {
   SimDuration codel_interval = msec(100);
 
   QdiscKind resolved_kind() const {
-    return kind ? *kind : qdisc_kind_from_env();
+    return kind ? *kind : knobs::read(knobs::kQdisc, QdiscKind::kTailDrop, parse_qdisc_kind);
   }
 };
 

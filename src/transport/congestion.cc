@@ -1,8 +1,5 @@
 #include "transport/congestion.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace jqos::transport {
 
 const char* cc_kind_name(CcKind k) {
@@ -19,22 +16,6 @@ std::optional<CcKind> parse_cc_kind(std::string_view name) {
   if (name == "rack") return CcKind::kRack;
   if (name == "bbr" || name == "bbrlite" || name == "bbr-lite") return CcKind::kBbrLite;
   return std::nullopt;
-}
-
-CcKind cc_kind_from_env(CcKind fallback) {
-  // Parsed exactly once, like JQOS_GF_BACKEND: later setenv calls have no
-  // effect and cannot race the getenv.
-  static const std::optional<CcKind> from_env = []() -> std::optional<CcKind> {
-    const char* v = std::getenv("JQOS_TCP_CC");
-    if (v == nullptr || *v == '\0') return std::nullopt;
-    auto parsed = parse_cc_kind(v);
-    if (!parsed) {
-      std::fprintf(stderr, "[WARN] JQOS_TCP_CC=%s not recognized (reno|rack|bbr); ignoring\n",
-                   v);
-    }
-    return parsed;
-  }();
-  return from_env.value_or(fallback);
 }
 
 std::size_t CcScoreboard::inflight() const {
@@ -78,11 +59,6 @@ CcPtr make_congestion_controller(CcKind kind) {
     case CcKind::kBbrLite: return make_bbr_lite_cc();
   }
   return make_reno_cc();
-}
-
-CcPtr make_congestion_controller(const TcpParams& params) {
-  if (params.cc_factory) return params.cc_factory();
-  return make_congestion_controller(params.resolved_cc());
 }
 
 }  // namespace jqos::transport

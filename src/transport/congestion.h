@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -32,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/knobs.h"
 #include "common/sim_time.h"
 
 namespace jqos::transport {
@@ -41,14 +41,8 @@ enum class CcKind : std::uint8_t { kReno = 0, kRack = 1, kBbrLite = 2 };
 const char* cc_kind_name(CcKind k);
 std::optional<CcKind> parse_cc_kind(std::string_view name);
 
-// The JQOS_TCP_CC override (reno|rack|bbr), read once at first use; bogus
-// values warn once and fall back. Applied only where TcpParams left the
-// kind unset, so tests that pin a controller are immune to the env.
-CcKind cc_kind_from_env(CcKind fallback = CcKind::kReno);
-
 class CongestionController;
 using CcPtr = std::unique_ptr<CongestionController>;
-using CcFactory = std::function<CcPtr()>;
 
 struct TcpParams {
   std::size_t mss = 1400;
@@ -60,17 +54,19 @@ struct TcpParams {
   int dupack_threshold = 3;
   int max_handshake_retries = 7;
 
-  // Congestion-control selection: `cc_factory` wins if set, else `cc`,
-  // else the JQOS_TCP_CC environment override, else Reno.
+  // Congestion-control selection: `cc` if set, else the JQOS_TCP_CC knob
+  // (docs/BENCHMARKING.md, "Environment overrides"), else Reno. Tests that
+  // pin a controller are immune to the env.
   std::optional<CcKind> cc;
-  CcFactory cc_factory;
 
   // Negotiate ECN: data segments carry ECT, the client echoes CE marks as
   // ECE on its acks, and ECN-aware controllers react. Harmless under the
   // default tail-drop network (nothing ever marks).
   bool ecn = true;
 
-  CcKind resolved_cc() const { return cc ? *cc : cc_kind_from_env(); }
+  CcKind resolved_cc() const {
+    return cc ? *cc : knobs::read(knobs::kTcpCc, CcKind::kReno, parse_cc_kind);
+  }
 };
 
 // Read-only view of the mechanism's per-segment bookkeeping, lent to the
@@ -158,8 +154,6 @@ class CongestionController {
 
 // Builds a controller of the given kind.
 CcPtr make_congestion_controller(CcKind kind);
-// Resolution used by TcpWorkload: factory > cc > JQOS_TCP_CC > Reno.
-CcPtr make_congestion_controller(const TcpParams& params);
 
 // Per-variant factories (one per implementation file).
 CcPtr make_reno_cc();

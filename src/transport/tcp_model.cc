@@ -50,7 +50,7 @@ TcpWorkload::TcpWorkload(netsim::Network& net, endpoint::Sender& server,
       sessions_(sessions),
       session_template_(std::move(session_template)),
       params_(params),
-      cc_(make_congestion_controller(params_)) {
+      cc_(make_congestion_controller(params_.resolved_cc())) {
   server_.set_receive_handler([this](const PacketPtr& pkt) { server_on_packet(pkt); });
   client_.set_delivery_handler(
       [this](const endpoint::DeliveryRecord& rec, const PacketPtr& pkt) {

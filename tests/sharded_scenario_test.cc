@@ -191,7 +191,9 @@ TEST(ShardedScenario, InvariantAcrossEventQueueBackends) {
 // --- the thread-count knob ---
 
 TEST(SimKnobs, ResolveSimThreadsRejectsBogusEnv) {
-  for (const char* bad : {"0", "-3", "", "12abc", "garbage", "+"}) {
+  // The last two overflow an unsigned (2^32 would wrap to 0 threads).
+  for (const char* bad :
+       {"0", "-3", "", "12abc", "garbage", "+", "4294967296", "99999999999999999999"}) {
     jqos::testing::EnvVarGuard env("JQOS_SIM_THREADS", std::string(bad));
     try {
       (void)resolve_sim_threads();

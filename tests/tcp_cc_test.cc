@@ -210,14 +210,11 @@ TEST(CongestionControl, KindNamesRoundTrip) {
   EXPECT_FALSE(parse_cc_kind("cubic").has_value());
 }
 
-TEST(CongestionControl, ResolutionPrefersFactoryThenKind) {
+TEST(CongestionControl, ResolutionUsesPinnedKind) {
   TcpParams p;
   p.cc = CcKind::kRack;
   EXPECT_EQ(p.resolved_cc(), CcKind::kRack);
-  EXPECT_STREQ(make_congestion_controller(p)->name(), "rack");
-
-  p.cc_factory = make_bbr_lite_cc;  // Factory outranks the explicit kind.
-  EXPECT_STREQ(make_congestion_controller(p)->name(), "bbr");
+  EXPECT_STREQ(make_congestion_controller(p.resolved_cc())->name(), "rack");
 }
 
 }  // namespace

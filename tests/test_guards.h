@@ -1,12 +1,12 @@
 // RAII guards for the process-global knobs tests are allowed to touch.
 //
 // The test binaries run under `ctest --schedule-random -j`: any test that
-// flips a process-global default -- the event-queue backend override, the
-// GF(256) kernel backend, or an environment variable a resolver reads --
-// MUST restore it on every exit path, or an unrelated test scheduled after
-// it inherits the setting and fails (or worse, silently tests the wrong
-// configuration). These guards make the save/restore automatic; tests
-// should never call the raw setters directly.
+// flips a process-global default -- the GF(256) kernel backend or a JQOS_*
+// environment variable a resolver reads -- MUST restore it on every exit
+// path, or an unrelated test scheduled after it inherits the setting and
+// fails (or worse, silently tests the wrong configuration). These guards
+// make the save/restore automatic; tests should never call the raw setters
+// directly.
 #pragma once
 
 #include <cstdlib>
@@ -17,19 +17,6 @@
 #include "netsim/event_queue.h"
 
 namespace jqos::testing {
-
-// Forces the process-default EventQueue backend for the guard's lifetime,
-// then clears the override so later constructions resolve JQOS_EVQ_BACKEND
-// (the CI forced-backend matrices) or the built-in default again.
-class EvqBackendGuard {
- public:
-  explicit EvqBackendGuard(netsim::EvqBackend backend) {
-    netsim::evq_set_default_backend(backend);
-  }
-  ~EvqBackendGuard() { netsim::evq_clear_default_backend(); }
-  EvqBackendGuard(const EvqBackendGuard&) = delete;
-  EvqBackendGuard& operator=(const EvqBackendGuard&) = delete;
-};
 
 // Pins the GF(256) kernel backend, restoring whatever backend was active
 // before (the SIMD tests iterate backends; a mid-test failure must not leave
@@ -49,9 +36,8 @@ class GfBackendGuard {
 };
 
 // Sets (or unsets, via nullopt) one environment variable, restoring the
-// prior value on destruction. Used by the knob-hardening tests to exercise
-// JQOS_SIM_THREADS / JQOS_OBJ_POOL / JQOS_EVQ_BACKEND parsing without
-// leaking the value into tests scheduled after them.
+// prior value on destruction. Used to force a JQOS_* knob (see
+// src/common/knobs.h) without leaking the value into tests scheduled after.
 class EnvVarGuard {
  public:
   EnvVarGuard(const char* name, std::optional<std::string> value) : name_(name) {
@@ -73,6 +59,18 @@ class EnvVarGuard {
 
   std::string name_;
   std::optional<std::string> saved_;
+};
+
+// Forces the default EventQueue backend through JQOS_EVQ_BACKEND for the
+// guard's lifetime, then restores the variable (and so the CI
+// forced-backend matrices) as it was.
+class EvqBackendGuard {
+ public:
+  explicit EvqBackendGuard(netsim::EvqBackend backend)
+      : env_("JQOS_EVQ_BACKEND", std::string(netsim::evq_backend_name(backend))) {}
+
+ private:
+  EnvVarGuard env_;
 };
 
 }  // namespace jqos::testing
