@@ -20,6 +20,7 @@
 #include <cstdio>
 
 #include "bench_json.h"
+#include "common/packet_pool.h"
 #include "exp/report.h"
 #include "exp/scenario.h"
 #include "fec/coded_batch.h"
@@ -98,10 +99,11 @@ std::vector<EncodePathPoint> run_encode_paths(std::size_t k, std::size_t r,
   }));
 
   fec::BatchEncoder enc;
+  PacketPool pool;
   std::vector<PacketPtr> out;
   points.push_back(measure_path("zero_copy", k, r, window_ms, [&] {
     out.clear();
-    enc.encode_into(pkts, r, PacketType::kCrossCoded, batch_id++, 1, 2, 0, out);
+    enc.encode_into(pkts, r, PacketType::kCrossCoded, batch_id++, 1, 2, 0, out, pool);
     if (out.size() != r) std::abort();
   }));
 

@@ -25,13 +25,13 @@ struct Knob {
 
 inline constexpr Knob kSimThreads{"JQOS_SIM_THREADS",
                                   "a positive integer thread count (e.g. 1, 4, 16)"};
-inline constexpr Knob kObjPool{"JQOS_OBJ_POOL", "0 (pooling off) or 1 (pooling on)"};
+inline constexpr Knob kPacketPool{"JQOS_OBJ_POOL", "0 (pooling off) or 1 (pooling on)"};
 inline constexpr Knob kEvqBackend{"JQOS_EVQ_BACKEND", "heap, ladder or auto"};
 inline constexpr Knob kGfBackend{"JQOS_GF_BACKEND", "scalar, ssse3, avx2 or auto"};
 inline constexpr Knob kTcpCc{"JQOS_TCP_CC", "reno, rack or bbr (alias bbrlite, bbr-lite)"};
 inline constexpr Knob kQdisc{"JQOS_QDISC", "taildrop (alias fifo), red or codel"};
 
-inline constexpr Knob kAll[] = {kSimThreads, kObjPool, kEvqBackend, kGfBackend, kTcpCc, kQdisc};
+inline constexpr Knob kAll[] = {kSimThreads, kPacketPool, kEvqBackend, kGfBackend, kTcpCc, kQdisc};
 
 // The variable's value, or nullptr when unset.
 const char* raw(const Knob& knob);

@@ -150,19 +150,11 @@ std::optional<Packet> Packet::parse(std::span<const std::uint8_t> data) {
   return p;
 }
 
-std::shared_ptr<Packet> alloc_packet(PacketPool* pool) {
-  return pool ? pool->acquire() : std::make_shared<Packet>();
-}
-
-std::shared_ptr<Packet> alloc_packet_copy(PacketPool* pool, const Packet& src) {
-  return pool ? pool->acquire_copy(src) : std::make_shared<Packet>(src);
-}
-
-std::shared_ptr<Packet> make_packet(PacketPool* pool, PacketType type,
+std::shared_ptr<Packet> make_packet(PacketPool& pool, PacketType type,
                                     ServiceType service, FlowId flow,
                                     SeqNo seq, NodeId src, NodeId dst,
                                     SimTime now) {
-  auto p = alloc_packet(pool);
+  auto p = pool.acquire();
   p->type = type;
   p->service = service;
   p->flow = flow;
@@ -173,21 +165,8 @@ std::shared_ptr<Packet> make_packet(PacketPool* pool, PacketType type,
   return p;
 }
 
-CodedMeta& engage_meta(PacketPool* pool, Packet& pkt) {
-  if (pool) return pool->engage_meta(pkt);
-  if (!pkt.meta) pkt.meta.emplace();
-  CodedMeta& m = *pkt.meta;
-  m.covered.clear();
-  m.batch_id = 0;
-  m.index = 0;
-  m.k = 0;
-  m.r = 0;
-  return m;
-}
-
-PacketPtr make_data_packet(FlowId flow, SeqNo seq, NodeId src, NodeId dst,
-                           SimTime now, std::size_t payload_bytes,
-                           PacketPool* pool) {
+PacketPtr make_data_packet(PacketPool& pool, FlowId flow, SeqNo seq, NodeId src,
+                           NodeId dst, SimTime now, std::size_t payload_bytes) {
   auto p = make_packet(pool, PacketType::kData, ServiceType::kNone, flow, seq,
                        src, dst, now);
   p->payload.assign(payload_bytes, 0);
@@ -226,15 +205,6 @@ bool NackInfo::parse_into(std::span<const std::uint8_t> data, NackInfo& out) {
   out.missing.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) out.missing.push_back(r.u32());
   return r.ok();
-}
-
-PacketPtr make_control_packet(NodeId src, NodeId dst, SimTime now,
-                              std::vector<std::uint8_t> payload,
-                              PacketPool* pool) {
-  auto p = make_packet(pool, PacketType::kControl, ServiceType::kNone,
-                       /*flow=*/0, /*seq=*/0, src, dst, now);
-  p->payload = std::move(payload);
-  return p;
 }
 
 }  // namespace jqos

@@ -116,43 +116,24 @@ using PacketPtr = std::shared_ptr<const Packet>;
 
 // Convenience factories -------------------------------------------------
 //
-// Every factory takes an optional PacketPool (see common/packet_pool.h).
-// With a pool, storage and the shared_ptr control block are recycled and
-// steady state touches the global allocator zero times per packet; with
-// nullptr the factories are plain make_shared. The returned values are
-// identical either way, so pooling can never perturb simulation results.
+// Every factory draws from a PacketPool (common/packet_pool.h; on the packet
+// path, the owning netsim::Network's pool()). Raw blank packets, deep copies
+// and recycled coded metadata come from the pool's own acquire(),
+// acquire_copy() and engage_meta(). The returned values are identical with
+// pooling on or off, so pooling can never perturb simulation results.
 
 class PacketPool;
 
-PacketPtr make_data_packet(FlowId flow, SeqNo seq, NodeId src, NodeId dst,
-                           SimTime now, std::size_t payload_bytes,
-                           PacketPool* pool = nullptr);
-
-PacketPtr make_control_packet(NodeId src, NodeId dst, SimTime now,
-                              std::vector<std::uint8_t> payload,
-                              PacketPool* pool = nullptr);
-
-// The choke points the ad-hoc builders (NACK/response/confirm/copy sites in
-// endpoint and services) go through, so header fields start uniformly
-// initialized and pooling covers every hot allocation:
-
-// A blank mutable packet (all fields default-initialized).
-std::shared_ptr<Packet> alloc_packet(PacketPool* pool);
-
-// A mutable deep copy of `src`.
-std::shared_ptr<Packet> alloc_packet_copy(PacketPool* pool, const Packet& src);
-
 // A blank packet with the J-QoS header fields set in one call; payload and
 // meta are left for the caller.
-std::shared_ptr<Packet> make_packet(PacketPool* pool, PacketType type,
+std::shared_ptr<Packet> make_packet(PacketPool& pool, PacketType type,
                                     ServiceType service, FlowId flow,
                                     SeqNo seq, NodeId src, NodeId dst,
                                     SimTime now);
 
-// Engages pkt.meta scrubbed (batch/index/k/r zeroed, covered cleared); with
-// a pool the covered vector gets salvaged capacity from recycled coded
-// packets.
-CodedMeta& engage_meta(PacketPool* pool, Packet& pkt);
+// A data packet with a zero-filled payload of `payload_bytes`.
+PacketPtr make_data_packet(PacketPool& pool, FlowId flow, SeqNo seq, NodeId src,
+                           NodeId dst, SimTime now, std::size_t payload_bytes);
 
 // Fixed per-packet header overhead in bytes (version, type, ids, timestamp,
 // lengths). Exposed so tests and the cost model can reason about overhead.

@@ -11,7 +11,6 @@
 namespace jqos {
 
 struct PacketPool::Core {
-  explicit Core(Limits l) : limits(l) {}
   ~Core() {
     for (Packet* p : free_packets) delete p;
     for (void* b : free_blocks) ::operator delete(b);
@@ -56,18 +55,18 @@ struct PacketPool::Core {
     p->ecn_capable = false;
     p->ecn_ce = false;
     p->payload.clear();
-    if (p->payload.capacity() > limits.max_packet_bytes) p->payload.shrink_to_fit();
+    if (p->payload.capacity() > kMaxPacketBytes) p->payload.shrink_to_fit();
     --outstanding;
     --live;
     const std::size_t pb = sizeof(Packet) + p->payload.capacity();
-    if (pooled_bytes + pb <= limits.max_retained_bytes) {
+    if (pooled_bytes + pb <= kMaxRetainedBytes) {
       pooled_bytes += pb;
       free_packets.push_back(p);
     } else {
       delete p;
     }
     const std::size_t kb = keys.capacity() * sizeof(PacketKey);
-    if (kb > 0 && pooled_bytes + kb <= limits.max_retained_bytes) {
+    if (kb > 0 && pooled_bytes + kb <= kMaxRetainedBytes) {
       keys.clear();
       pooled_bytes += kb;
       spare_keys.push_back(std::move(keys));
@@ -95,7 +94,7 @@ struct PacketPool::Core {
 
   void give_block(void* b, std::size_t bytes) {
     --live;
-    if (bytes == block_size && pooled_bytes + bytes <= limits.max_retained_bytes) {
+    if (bytes == block_size && pooled_bytes + bytes <= kMaxRetainedBytes) {
       pooled_bytes += bytes;
       free_blocks.push_back(b);
     } else {
@@ -104,7 +103,6 @@ struct PacketPool::Core {
     maybe_die();
   }
 
-  Limits limits;
   // Lifetime: the deleter/allocator reference the core by RAW pointer (a
   // shared_ptr would cost atomic refcount ops per packet). `live` counts
   // every packet and control block currently checked out; when the facade
@@ -151,8 +149,7 @@ struct CtrlAlloc {
 
 }  // namespace
 
-PacketPool::PacketPool(bool enabled, Limits limits)
-    : enabled_(enabled), core_(new Core(limits)) {}
+PacketPool::PacketPool() : enabled_(env_enabled()), core_(new Core) {}
 
 PacketPool::~PacketPool() {
   core_->orphaned = true;
@@ -213,7 +210,7 @@ std::uint64_t PacketPool::reused() const { return core_->reused; }
 std::uint64_t PacketPool::fresh() const { return core_->fresh; }
 
 bool PacketPool::env_enabled() {
-  return knobs::read(knobs::kObjPool, true, [](std::string_view v) -> std::optional<bool> {
+  return knobs::read(knobs::kPacketPool, true, [](std::string_view v) -> std::optional<bool> {
     if (v == "1") return true;
     if (v == "0") return false;
     return std::nullopt;

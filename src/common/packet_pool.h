@@ -12,20 +12,21 @@
 //    comes from a freelist of fixed-size blocks rather than operator new.
 //
 // Call sites keep the existing PacketPtr type: a pooled packet is
-// indistinguishable from a heap one, and a null pool everywhere means plain
-// make_shared (exactly the JQOS_OBJ_POOL=0 passthrough).
+// indistinguishable from a heap one, and a disabled pool is plain
+// make_shared (the JQOS_OBJ_POOL=0 passthrough).
 //
-// A pool is single-threaded: one shard owns it, and only the thread running
-// that shard acquires from it or releases into it, so the freelists are
-// plain vectors with no lock. Packets may outlive the pool facade (a
-// shard's simulator dies after its pool with packets still captured in
-// queued events): the deleter and allocator hold a raw pointer to the pool
-// core, which counts its checked-out storage and deletes itself once the
-// facade is gone AND the last piece of storage has come home.
+// A pool is single-threaded: each netsim::Network owns one (one Network per
+// shard), and only the thread running that shard acquires from it or
+// releases into it, so the freelists are plain vectors with no lock.
+// Packets may outlive the pool facade (a shard's simulator dies after its
+// Network with packets still captured in queued events): the deleter and
+// allocator hold a raw pointer to the pool core, which counts its
+// checked-out storage and deletes itself once the facade is gone AND the
+// last piece of storage has come home.
 //
-// Retained memory is bounded by total bytes across packets, control blocks,
-// and salvaged key vectors (never by object count -- the PR 7 ratchet
-// lesson); see docs/MEMORY.md for the ownership contract.
+// Retained memory is bounded by total bytes (never by object count: a count
+// bound lets a few huge buffers pin unbounded memory); see docs/MEMORY.md
+// for the ownership contract.
 #pragma once
 
 #include <cstddef>
@@ -38,21 +39,16 @@ namespace jqos {
 
 class PacketPool {
  public:
-  struct Limits {
-    std::size_t max_retained_bytes = 16u << 20;
-    // A returned packet whose payload capacity outgrew this has that
-    // capacity dropped before pooling (bursts must not fatten the pool).
-    std::size_t max_packet_bytes = 256u << 10;
-  };
+  // Retained memory bound per pool, across packets, control blocks and
+  // salvaged key vectors.
+  static constexpr std::size_t kMaxRetainedBytes = 16u << 20;
+  // A returned packet whose payload capacity outgrew this has that capacity
+  // dropped before pooling (bursts must not fatten the pool).
+  static constexpr std::size_t kMaxPacketBytes = 256u << 10;
 
   // Reads JQOS_OBJ_POOL at construction (not a static cache) so one process
   // can compare both modes; see env_enabled().
-  PacketPool() : PacketPool(env_enabled()) {}
-  // Two overloads rather than a defaulted Limits argument: a nested
-  // aggregate's member initializers are not usable in a default argument
-  // until the enclosing class is complete.
-  explicit PacketPool(bool enabled) : PacketPool(enabled, Limits{}) {}
-  PacketPool(bool enabled, Limits limits);
+  PacketPool();
   // Marks the core orphaned; the core frees itself once the last
   // outstanding packet and control block have come home.
   ~PacketPool();
@@ -69,9 +65,9 @@ class PacketPool {
   // A mutable deep copy of `src` into recycled storage.
   std::shared_ptr<Packet> acquire_copy(const Packet& src);
 
-  // Engages pkt.meta (batch/index/k/r zeroed, covered cleared), handing the
-  // covered vector salvaged capacity from previously recycled coded packets
-  // so filling it allocates nothing in steady state.
+  // Engages pkt.meta (batch/index/k/r zeroed, covered cleared). An enabled
+  // pool hands the covered vector salvaged capacity from previously
+  // recycled coded packets so filling it allocates nothing in steady state.
   CodedMeta& engage_meta(Packet& pkt);
 
   // Byte-bounded retained-memory accounting.

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/packet.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "endpoint/markov_detector.h"
@@ -30,40 +31,6 @@
 #include "netsim/network.h"
 
 namespace jqos::endpoint {
-
-// Bounded FIFO of sequence numbers backed by a circular vector. A deque
-// would allocate/free a chunk every ~chunk worth of push/pop churn, which
-// the zero-alloc steady-state guard (docs/MEMORY.md) counts; the ring grows
-// amortized up to the history cap and then cycles allocation-free.
-class SeqRing {
- public:
-  void push_back(SeqNo s) {
-    if (count_ == buf_.size()) grow();
-    buf_[(head_ + count_) % buf_.size()] = s;
-    ++count_;
-  }
-  SeqNo front() const { return buf_[head_]; }
-  void pop_front() {
-    head_ = (head_ + 1) % buf_.size();
-    --count_;
-  }
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
- private:
-  void grow() {
-    std::vector<SeqNo> next(buf_.empty() ? 16 : buf_.size() * 2);
-    for (std::size_t i = 0; i < count_; ++i) {
-      next[i] = buf_[(head_ + i) % buf_.size()];
-    }
-    buf_ = std::move(next);
-    head_ = 0;
-  }
-
-  std::vector<SeqNo> buf_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-};
 
 // Overlay-death detection and direct-path failover (receiver side).
 //
@@ -216,10 +183,6 @@ class Receiver final : public netsim::Node {
   // Estimated RTT feed (e.g. from the scenario builder's path data).
   void set_rtt_estimate(SimDuration rtt);
 
-  // Packet storage pool for this receiver's lane (see docs/MEMORY.md); null
-  // (the default) means heap allocation. Set at build time, before traffic.
-  void set_pool(PacketPool* pool) { pool_ = pool; }
-
   // Overlay up/down transitions (failover layer). The scenario wires this
   // to the sender's set_overlay_down via a modeled control-channel delay.
   using OverlayEventFn = std::function<void(bool up, SimTime at)>;
@@ -242,7 +205,7 @@ class Receiver final : public netsim::Node {
     std::map<SeqNo, bool> arrived_ahead;  // value: was it `recovered`?
     // Recent packets for coop responses / self-decode, FIFO-bounded.
     std::unordered_map<SeqNo, PacketPtr> buffer;
-    SeqRing buffer_order;
+    FifoRing<SeqNo> buffer_order;
     // Cooperative requests for packets that have not arrived yet (the
     // requester's detection raced our slower direct path): answered as
     // soon as the packet lands, dropped after a short window.
@@ -299,7 +262,6 @@ class Receiver final : public netsim::Node {
   ReceiverConfig config_;
   DeliverFn on_delivery_;
   Rng rng_;
-  PacketPool* pool_ = nullptr;
   // Failover state (see FailoverParams). The probe timer follows the same
   // generation-guard pattern as the per-flow timers.
   OverlayEventFn on_overlay_;

@@ -14,7 +14,7 @@ struct IncastScenario::Switch final : netsim::Node {
   NodeId id() const override { return nid; }
 
   void handle_packet(const PacketPtr& pkt) override {
-    auto fwd = std::make_shared<Packet>(*pkt);
+    auto fwd = net.pool().acquire_copy(*pkt);
     fwd->src = nid;
     fwd->dst = pkt->final_dst;
     net.send(nid, fwd);
@@ -78,14 +78,10 @@ void IncastScenario::start_epoch(std::size_t epoch) {
       // The whole burst enters the fabric back to back, as an aggregate
       // response leaving a server NIC does.
       for (std::size_t p = 0; p < params_.packets_per_sender; ++p) {
-        auto pkt = std::make_shared<Packet>();
-        pkt->type = PacketType::kData;
-        pkt->flow = flow;
-        pkt->seq = static_cast<SeqNo>(result_.sent);
-        pkt->src = src;
-        pkt->dst = switch_->nid;
+        auto pkt = make_packet(net_.pool(), PacketType::kData, ServiceType::kNone, flow,
+                               static_cast<SeqNo>(result_.sent), src, switch_->nid,
+                               sim_.now());
         pkt->final_dst = sink_->nid;
-        pkt->sent_at = sim_.now();
         pkt->ecn_capable = params_.ecn;
         pkt->payload.assign(params_.payload_bytes, 0);
         ++result_.sent;

@@ -138,7 +138,6 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
   // claims in-transit packets), then the local services.
   for (std::size_t i = 0; i < overlay_->dc_count(); ++i) {
     overlay::DataCenter& dc = overlay_->dc(i);
-    dc.set_pool(&pool_);
     auto fwd = std::make_shared<services::ForwardingService>();
     forwarders_.push_back(fwd);
     dc.install(fwd);
@@ -151,15 +150,6 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
         std::make_shared<services::RecoveryService>(dc, params_.recovery, registry_);
     recoverers_.push_back(recovery);
     dc.install(recovery);
-  }
-
-  // Inter-DC links draw their CE-mark copies from the shard pool.
-  for (std::size_t i = 0; i < overlay_->dc_count(); ++i) {
-    for (std::size_t j = 0; j < overlay_->dc_count(); ++j) {
-      if (i == j) continue;
-      netsim::Link* l = net_.link(overlay_->dc(i).id(), overlay_->dc(j).id());
-      if (l != nullptr) l->set_pool(&pool_);
-    }
   }
 
   if (params_.faults.empty()) return;
@@ -206,13 +196,11 @@ void ScenarioShard::build_path(IndexedPath path) {
   rt->global_index = path.global_index;
   rt->rtt_ms = 2.0 * sample.y_ms;
   rt->give_up_rtts = params_.give_up_rtts;
-  rt->flow = next_flow_++;
   rt->dc1 = overlay_->dc_by_site(sample.dc1.name);
   rt->dc2 = overlay_->dc_by_site(sample.dc2.name);
 
   // --- endpoints ---
   rt->sender = std::make_unique<endpoint::Sender>(net_);
-  rt->sender->set_pool(&pool_);
 
   endpoint::ReceiverConfig rc;
   rc.dc2 = rt->dc2->id();
@@ -273,7 +261,6 @@ void ScenarioShard::build_path(IndexedPath path) {
           ++rt_raw->delivered_direct;
         }
       });
-  rt->receiver->set_pool(&pool_);
 
   if (params_.failover.enabled) {
     // Overlay up/down notifications reach the sender over a control channel
@@ -327,7 +314,6 @@ void ScenarioShard::build_path(IndexedPath path) {
       net_.add_link(rt->sender->id(), rt->receiver->id(),
                     netsim::make_jitter_latency(jp, path_rng.fork("direct-lat")),
                     std::move(loss));
-  direct_link.set_pool(&pool_);
   if (!params_.faults.empty()) {
     injector_.bind_link("direct:" + std::to_string(rt->global_index), &direct_link);
   }
@@ -339,15 +325,6 @@ void ScenarioShard::build_path(IndexedPath path) {
   overlay_->attach_host(rt->sender->id(), *rt->dc1, msec_f(sample.delta_s_ms), access_s);
   overlay_->attach_host(rt->receiver->id(), *rt->dc2, msec_f(sample.delta_r_ms), access_r);
 
-  // Access links draw their CE-mark copies from the shard pool too.
-  for (const auto& [from, to] : {std::pair{rt->sender->id(), rt->dc1->id()},
-                                 std::pair{rt->dc1->id(), rt->sender->id()},
-                                 std::pair{rt->receiver->id(), rt->dc2->id()},
-                                 std::pair{rt->dc2->id(), rt->receiver->id()}}) {
-    netsim::Link* l = net_.link(from, to);
-    if (l != nullptr) l->set_pool(&pool_);
-  }
-
   // Forwarding-service routing: packets for this receiver entering DC1 ride
   // the inter-DC path to DC2, which has the access link to the receiver.
   for (std::size_t i = 0; i < overlay_->dc_count(); ++i) {
@@ -357,27 +334,13 @@ void ScenarioShard::build_path(IndexedPath path) {
   }
 
   // --- J-QoS registration ---
-  endpoint::RegisterRequest req;
-  req.force_service = params_.service;
-  req.send_direct = params_.send_direct;
-  req.dc1 = rt->dc1->id();
-  req.dc2 = rt->dc2->id();
-  req.delays.y_ms = sample.y_ms;
-  req.delays.delta_s_ms = sample.delta_s_ms;
-  req.delays.delta_r_ms = sample.delta_r_ms;
-  req.delays.x_ms = sample.x_ms;
-  req.delays.delta_r_median_ms = sample.delta_r_ms;
-  req.coding_rate = params_.coding.cross_rate();
-  endpoint::Session session =
-      sessions_.register_flow(*rt->sender, *rt->receiver, req);
-  rt->flow = session.flow;
+  rt->flow = register_path_flow(*rt);
 
   // The workload app is instantiated in run(), where per-path skew is known.
   paths_.push_back(std::move(rt));
 }
 
-FlowId ScenarioShard::open_session(std::size_t path_index) {
-  PathRuntime& rt = *paths_.at(path_index);
+FlowId ScenarioShard::register_path_flow(const PathRuntime& rt) {
   endpoint::RegisterRequest req;
   req.force_service = params_.service;
   req.send_direct = params_.send_direct;
@@ -390,6 +353,10 @@ FlowId ScenarioShard::open_session(std::size_t path_index) {
   req.delays.delta_r_median_ms = rt.path.delta_r_ms;
   req.coding_rate = params_.coding.cross_rate();
   return sessions_.register_flow(*rt.sender, *rt.receiver, req).flow;
+}
+
+FlowId ScenarioShard::open_session(std::size_t path_index) {
+  return register_path_flow(*paths_.at(path_index));
 }
 
 void ScenarioShard::close_session(std::size_t path_index, FlowId flow) {

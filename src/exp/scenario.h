@@ -255,29 +255,29 @@ class ScenarioShard {
   netsim::FaultInjector& injector() { return injector_; }
 
   // --- packet pool (docs/MEMORY.md) ---
-  // The shard owns exactly one PacketPool, touched only by the thread that
-  // runs the shard. Pool state never feeds simulation values, so results
-  // are bit-identical with pooling on or off. pool_count() is always 1 and
-  // pool(i) accepts only i == 0; both stay so callers that sum over a
-  // shard's pools keep working.
+  // The shard's one PacketPool is its Network's, touched only by the thread
+  // that runs the shard. Pool state never feeds simulation values, so
+  // results are bit-identical with pooling on or off. pool_count() is
+  // always 1 and pool(i) accepts only i == 0; both stay so callers that sum
+  // over a shard's pools keep working.
   std::size_t pool_count() const { return 1; }
-  PacketPool& pool(std::size_t i) { return i == 0 ? pool_ : no_such_pool(i); }
-  const PacketPool& pool(std::size_t i) const { return i == 0 ? pool_ : no_such_pool(i); }
+  PacketPool& pool(std::size_t i) { return i == 0 ? net_.pool() : no_such_pool(i); }
+  const PacketPool& pool(std::size_t i) const {
+    return i == 0 ? net_.pool() : no_such_pool(i);
+  }
 
  private:
   void build_overlay(const std::vector<IndexedPath>& paths);
   void build_path(IndexedPath path);
+  // Registers a fresh flow across `rt`'s sender, receiver and DCs with the
+  // scenario's service selection.
+  FlowId register_path_flow(const PathRuntime& rt);
   [[noreturn]] static PacketPool& no_such_pool(std::size_t i);
 
   WanScenarioParams params_;
   netsim::Simulator sim_;
   netsim::Network net_;
   netsim::FaultInjector injector_;
-  // Created before any entity so every build_* step can hand out pool
-  // pointers. It dies before sim_, whose queued events still hold pooled
-  // packets; that is safe because the pool core frees itself only when the
-  // last packet comes home.
-  PacketPool pool_;
   Rng rng_;  // Overlay construction only; per-path streams are derived.
   services::FlowRegistryPtr registry_;
   std::unique_ptr<overlay::OverlayNetwork> overlay_;
@@ -286,7 +286,6 @@ class ScenarioShard {
   std::vector<std::shared_ptr<services::RecoveryService>> recoverers_;
   endpoint::SessionManager sessions_;
   std::vector<std::unique_ptr<PathRuntime>> paths_;
-  FlowId next_flow_ = 1;
 };
 
 // The N=1 facade: the whole scenario in one shard, with the original

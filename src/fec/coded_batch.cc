@@ -1,13 +1,13 @@
 #include "fec/coded_batch.h"
 
 #include <algorithm>
-
-#include "common/packet_pool.h"
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+
+#include "common/packet_pool.h"
 
 namespace jqos::fec {
 namespace {
@@ -168,7 +168,7 @@ std::vector<PacketPtr> encode_batch(std::span<const PacketPtr> data,
 void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_coded,
                                PacketType coded_type, std::uint32_t batch_id, NodeId src,
                                NodeId dst, SimTime now, std::vector<PacketPtr>& out,
-                               PacketPool* pool) {
+                               PacketPool& pool) {
   if (data.empty()) throw std::invalid_argument("BatchEncoder::encode_into: empty batch");
   if (data.size() + num_coded > 255) {
     throw std::invalid_argument("BatchEncoder::encode_into: batch too large for GF(256)");
@@ -195,32 +195,17 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
 
   // Create the coded packets up front so parity is computed directly into
   // their payload buffers — the arena-to-packet copy of the legacy path
-  // disappears. Two storage strategies, byte-identical outputs:
-  //
-  //  * Pooled (pool enabled): each packet is recycled from the owning
-  //    lane's PacketPool, reusing payload capacity and covered-key capacity
-  //    from earlier batches — zero allocator traffic in steady state.
-  //  * Slab (no pool): the batch's packets share one slab allocation
-  //    (aliasing shared_ptrs into a make_shared array): one control block
-  //    for all r outputs instead of one per packet.
+  // disappears. Each packet is recycled from `pool`, reusing payload and
+  // covered-key capacity from earlier batches: zero allocator traffic in
+  // steady state.
   out.reserve(out.size() + num_coded);
   parity_ptrs_.clear();
-  pooled_pkts_.clear();
-  const bool use_pool = pool != nullptr && pool->enabled();
-  std::shared_ptr<Packet[]> slab;
-  if (!use_pool) slab = std::make_shared<Packet[]>(num_coded);
+  coded_pkts_.clear();
   for (std::size_t i = 0; i < num_coded; ++i) {
-    Packet* pkt_ptr;
-    if (use_pool) {
-      auto pp = pool->acquire();
-      pkt_ptr = const_cast<Packet*>(pp.get());
-      out.push_back(std::move(pp));
-    } else {
-      pkt_ptr = &slab[i];
-      out.push_back(PacketPtr(slab, pkt_ptr));
-    }
-    pooled_pkts_.push_back(pkt_ptr);
-    Packet& pkt = *pkt_ptr;
+    auto pp = pool.acquire();
+    Packet& pkt = *pp;
+    coded_pkts_.push_back(&pkt);
+    out.push_back(std::move(pp));
     pkt.type = coded_type;
     // Same field conventions as encode_batch (see comment there).
     pkt.flow = 0;
@@ -228,12 +213,7 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
     pkt.src = src;
     pkt.dst = dst;
     pkt.sent_at = now;
-    if (use_pool) {
-      pool->engage_meta(pkt);
-    } else {
-      pkt.meta.emplace();
-    }
-    auto& m = *pkt.meta;
+    CodedMeta& m = pool.engage_meta(pkt);
     m.batch_id = batch_id;
     m.index = static_cast<std::uint8_t>(k + i);
     m.k = static_cast<std::uint8_t>(k);
@@ -248,7 +228,7 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   // trimmed bytes are parity over zeros, i.e. zero).
   codec_->encode_into(arena_.data(), arena_.stride(), arena_.padded_len(),
                       parity_ptrs_.data());
-  for (Packet* pkt : pooled_pkts_) pkt->payload.resize(len);
+  for (Packet* pkt : coded_pkts_) pkt->payload.resize(len);
 }
 
 std::optional<std::vector<RecoveredPacket>> decode_batch(

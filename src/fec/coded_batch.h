@@ -137,11 +137,11 @@ class BatchEncoder {
   // returns for the same inputs). `out` is appended to, not cleared, so a
   // caller-reused vector amortizes its allocation too.
   //
-  // With a non-null enabled `pool`, the coded packets come from the pool
-  // (recycled storage, payload/covered capacity reused, zero allocator
-  // traffic in steady state); otherwise they share one slab allocation.
-  // Either way the bytes and metadata are identical — the RS kernels fully
-  // overwrite the parity buffers, so recycled payloads need no re-zeroing.
+  // The coded packets come from `pool` (recycled storage, payload/covered
+  // capacity reused, zero allocator traffic in steady state; a disabled
+  // pool is plain make_shared). The bytes and metadata are identical either
+  // way — the RS kernels fully overwrite the parity buffers, so recycled
+  // payloads need no re-zeroing.
   //
   // Preconditions: as encode_batch (throws std::invalid_argument on an
   // empty batch or k + num_coded > 255; packets non-null). Complexity:
@@ -149,7 +149,7 @@ class BatchEncoder {
   void encode_into(std::span<const PacketPtr> data, std::size_t num_coded,
                    PacketType coded_type, std::uint32_t batch_id, NodeId src,
                    NodeId dst, SimTime now, std::vector<PacketPtr>& out,
-                   PacketPool* pool = nullptr);
+                   PacketPool& pool);
 
   // The scratch arena, exposed for tests (capacity high-water assertions).
   const ShardArena& arena() const { return arena_; }
@@ -157,7 +157,7 @@ class BatchEncoder {
  private:
   ShardArena arena_;
   std::vector<std::uint8_t*> parity_ptrs_;            // Reused per batch.
-  std::vector<Packet*> pooled_pkts_;                  // Reused per batch.
+  std::vector<Packet*> coded_pkts_;                   // Reused per batch.
   std::shared_ptr<const ReedSolomon> codec_;          // Memoized last shape,
                                                       // backed by the global
                                                       // (k, r) cache.

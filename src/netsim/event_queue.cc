@@ -177,12 +177,6 @@ EventQueue::Fired EventQueue::pop() {
   return fired;
 }
 
-std::size_t EventQueue::pop_ready(SimTime horizon, std::vector<Fired>& out) {
-  return drain(horizon, [&out](SimTime at, EventFn&& fn) {
-    out.push_back(Fired{at, std::move(fn)});
-  });
-}
-
 // ------------------------------ ladder core -------------------------------
 
 void EventQueue::recycle_bucket(std::vector<Entry>&& v) {

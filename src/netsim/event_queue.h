@@ -91,13 +91,6 @@ class EventQueue {
   };
   Fired pop();
 
-  // Batched extraction: moves every live event with time <= horizon into
-  // `out` in delivery order and returns how many were appended. Extracted
-  // events count as fired -- cancelling one afterwards is a no-op. Callers
-  // whose handlers may push or cancel while the batch runs should use
-  // drain() instead, which validates each event just-in-time.
-  std::size_t pop_ready(SimTime horizon, std::vector<Fired>& out);
-
   // Runs sink(at, std::move(fn)) for every live event with time <= horizon,
   // in delivery order, and returns how many fired. The sink may push new
   // events (including at times within the horizon -- they fire in this same

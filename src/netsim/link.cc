@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/packet_pool.h"
+
 namespace jqos::netsim {
 
-Link::Link(Simulator& sim, NodeId from, NodeId to, LatencyModelPtr latency, LossModelPtr loss,
-           double bandwidth_bps, bool preserve_order, QueueDiscPtr qdisc)
+Link::Link(Simulator& sim, PacketPool& pool, NodeId from, NodeId to, LatencyModelPtr latency,
+           LossModelPtr loss, double bandwidth_bps, bool preserve_order, QueueDiscPtr qdisc)
     : sim_(sim),
+      pool_(pool),
       from_(from),
       to_(to),
       latency_(std::move(latency)),
@@ -73,7 +76,7 @@ SimTime Link::admit(const PacketPtr& pkt, bool& mark) {
         static_cast<double>(bytes) * 8.0 / bandwidth_bps_ * 1e6);
     tx_free_at_ = snap.dequeue_at + tx_time;
     depart = tx_free_at_;
-    backlog_.push_back(depart, static_cast<std::uint32_t>(bytes));
+    backlog_.push_back({depart, static_cast<std::uint32_t>(bytes)});
     backlog_bytes_ += bytes;
     stats_.max_queue_bytes = std::max<std::uint64_t>(stats_.max_queue_bytes, backlog_bytes_);
     stats_.max_queue_packets =
@@ -93,8 +96,8 @@ SimTime Link::admit(const PacketPtr& pkt, bool& mark) {
 
 // Copy-on-mark: PacketPtr is shared and const, so a CE mark clones the
 // packet rather than scribbling on the copy other paths may still carry.
-static PacketPtr with_ce_mark(PacketPool* pool, const PacketPtr& pkt) {
-  auto marked = alloc_packet_copy(pool, *pkt);
+static PacketPtr with_ce_mark(PacketPool& pool, const PacketPtr& pkt) {
+  auto marked = pool.acquire_copy(*pkt);
   marked->ecn_ce = true;
   return marked;
 }

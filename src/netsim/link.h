@@ -4,7 +4,7 @@
 //
 // Finite-bandwidth links delegate the enqueue/mark/drop decision to a
 // QueueDisc policy object (tail-drop by default, RED or CoDel for AQM).
-// The transmitter itself stays analytic — tx_free_at_ plus a deque of
+// The transmitter itself stays analytic — tx_free_at_ plus a ring of
 // pending departure times — so queueing costs no extra simulator events.
 // Zero-bandwidth links never consult the discipline (there is no queue),
 // which keeps every latency-only scenario bit-identical to the
@@ -13,9 +13,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <utility>
 
 #include "common/packet.h"
+#include "common/ring.h"
 #include "netsim/latency_model.h"
 #include "netsim/loss_model.h"
 #include "netsim/queue_disc.h"
@@ -61,9 +62,11 @@ class Link {
   // is set (the default), arrivals are clamped to be non-decreasing,
   // modelling a single-path route that may jitter but does not reorder --
   // which is what the receiver's gap-based loss detection assumes of
-  // Internet paths.
-  Link(Simulator& sim, NodeId from, NodeId to, LatencyModelPtr latency, LossModelPtr loss,
-       double bandwidth_bps = 0.0, bool preserve_order = true, QueueDiscPtr qdisc = nullptr);
+  // Internet paths. The copy-on-CE-mark path draws from `pool`, the
+  // owning Network's (docs/MEMORY.md).
+  Link(Simulator& sim, PacketPool& pool, NodeId from, NodeId to, LatencyModelPtr latency,
+       LossModelPtr loss, double bandwidth_bps = 0.0, bool preserve_order = true,
+       QueueDiscPtr qdisc = nullptr);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -106,52 +109,9 @@ class Link {
   void clear_degraded() { degraded_ = false; }
   bool degraded() const { return degraded_; }
 
-  // Packet storage pool of the shard this link belongs to (see
-  // docs/MEMORY.md). Only the copy-on-CE-mark path allocates here; null
-  // (the default) means heap allocation. Set at build time, before traffic.
-  void set_pool(PacketPool* pool) { pool_ = pool; }
-  PacketPool* pool() const { return pool_; }
-
  private:
-  // Fixed-capacity-amortized FIFO of (departure time, wire bytes) pairs.
-  // A deque allocates and frees a chunk every ~few-hundred entries of
-  // churn; this ring reaches its high-water capacity once and then cycles
-  // in place — the transmitter backlog is on the per-packet path of every
-  // finite-bandwidth link.
-  class BacklogRing {
-   public:
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-    const std::pair<SimTime, std::uint32_t>& front() const { return slots_[head_]; }
-    void pop_front() {
-      head_ = (head_ + 1) & (slots_.size() - 1);
-      --size_;
-    }
-    void push_back(SimTime depart, std::uint32_t bytes) {
-      if (size_ == slots_.size()) grow();
-      slots_[(head_ + size_) & (slots_.size() - 1)] = {depart, bytes};
-      ++size_;
-    }
-
-   private:
-    void grow() {
-      // Power-of-two capacity keeps the index math a mask. Re-linearize on
-      // growth so head_ starts at 0 in the new storage.
-      std::vector<std::pair<SimTime, std::uint32_t>> bigger(
-          slots_.empty() ? 16 : slots_.size() * 2);
-      for (std::size_t i = 0; i < size_; ++i) {
-        bigger[i] = slots_[(head_ + i) & (slots_.size() - 1)];
-      }
-      slots_ = std::move(bigger);
-      head_ = 0;
-    }
-
-    std::vector<std::pair<SimTime, std::uint32_t>> slots_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-  };
-
   Simulator& sim_;
+  PacketPool& pool_;
   NodeId from_;
   NodeId to_;
   LatencyModelPtr latency_;
@@ -166,12 +126,12 @@ class Link {
   SimTime last_arrival_ = 0;
   // Departure time + size of every packet still in the transmitter, oldest
   // first; drained lazily on each send to maintain the backlog counters the
-  // queue discipline and the depth stats read.
-  BacklogRing backlog_;
+  // queue discipline and the depth stats read. On the per-packet path of
+  // every finite-bandwidth link, hence a ring rather than a deque.
+  FifoRing<std::pair<SimTime, std::uint32_t>> backlog_;
   std::size_t backlog_bytes_ = 0;
   // Registered delivery sink for the zero-argument send().
   DeliverFn deliver_;
-  PacketPool* pool_ = nullptr;
   LinkStats stats_;
   // Fault-layer state; see set_fault_down()/set_degraded().
   bool fault_down_ = false;

@@ -25,7 +25,7 @@ Link& Network::add_link(NodeId from, NodeId to, LatencyModelPtr latency, LossMod
         (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint64_t>(to);
     disc = make_queue_disc(qdisc, Rng::derived(qdisc_seed_, link_id));
   }
-  auto link = std::make_unique<Link>(sim_, from, to, std::move(latency), std::move(loss),
+  auto link = std::make_unique<Link>(sim_, pool_, from, to, std::move(latency), std::move(loss),
                                      bandwidth_bps, preserve_order, std::move(disc));
   Link& ref = *link;
   // One dispatch closure per link, registered up front: the per-packet send

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/packet.h"
+#include "common/packet_pool.h"
 #include "netsim/link.h"
 #include "netsim/queue_disc.h"
 #include "netsim/simulator.h"
@@ -40,6 +41,12 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   Simulator& sim() { return sim_; }
+
+  // The packet pool every entity on this fabric allocates from: senders,
+  // receivers, DCs and their services, and links' CE-mark copies. One
+  // Network per shard, so this is the shard's single pool (docs/MEMORY.md).
+  PacketPool& pool() { return pool_; }
+  const PacketPool& pool() const { return pool_; }
 
   // Allocates a fresh NodeId (ids start at 1; 0 is kInvalidNode).
   NodeId allocate_id() { return next_id_++; }
@@ -90,6 +97,9 @@ class Network {
   Simulator& sim_;
   QdiscConfig qdisc_;
   std::uint64_t qdisc_seed_ = 0;
+  // Declared before the links that hold a reference to it. Packets still
+  // captured in queued events may outlive it; see PacketPool.
+  PacketPool pool_;
   Node* node(NodeId id) const { return id < nodes_.size() ? nodes_[id] : nullptr; }
 
   NodeId next_id_ = 1;

@@ -53,8 +53,8 @@ class Simulator {
   std::uint64_t events_processed() const { return processed_; }
   EvqBackend backend() const { return queue_.backend(); }
 
-  // Direct queue access for benches and introspection (slab high-water,
-  // batched pop_ready experiments); scheduling should go through at/after.
+  // Direct queue access for benches and introspection (slab high-water);
+  // scheduling should go through at/after.
   EventQueue& queue() { return queue_; }
 
  private:

@@ -38,7 +38,7 @@ bool CachingService::handle(overlay::DataCenter& dc, const PacketPtr& pkt) {
           if (cached == nullptr) break;
           ++service_stats_.pulls;
           ++service_stats_.pull_hits;
-          auto out = alloc_packet_copy(dc.pool(), *cached);
+          auto out = dc.network().pool().acquire_copy(*cached);
           out->type = PacketType::kRecovered;
           out->dst = pkt->src;
           out->final_dst = pkt->src;
@@ -61,7 +61,7 @@ void CachingService::serve(overlay::DataCenter& dc, const PacketKey& key, NodeId
     return;  // Recovery falls back to the transport (fails silently).
   }
   ++service_stats_.pull_hits;
-  auto out = alloc_packet_copy(dc.pool(), *cached);
+  auto out = dc.network().pool().acquire_copy(*cached);
   out->type = PacketType::kRecovered;
   out->dst = requester;
   out->final_dst = requester;

@@ -139,7 +139,7 @@ void CodingEncoderService::encode_queue(Queue& q, std::size_t coded, PacketType 
   const std::uint32_t batch_id = next_batch_id_++;
   coded_scratch_.clear();
   encoder_.encode_into(q.pkts, coded, type, batch_id, dc_.id(), dc2, dc_.now(),
-                       coded_scratch_, dc_.pool());
+                       coded_scratch_, dc_.network().pool());
   for (auto& cp : coded_scratch_) {
     // Coded packets ride the inter-DC path with the coding service tag so
     // the recovery DC claims them on arrival.

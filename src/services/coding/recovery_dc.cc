@@ -62,7 +62,7 @@ void RecoveryService::on_coded(const PacketPtr& pkt) {
     if (it != pending_.end() && it->second.expires_at > dc_.now()) {
       ++stats_.recheck_probes;
       ++stats_.nack_checks_sent;
-      auto check = make_packet(dc_.pool(), PacketType::kNackCheck, ServiceType::kCode,
+      auto check = make_packet(dc_.network().pool(), PacketType::kNackCheck, ServiceType::kCode,
                                key.flow, key.seq, dc_.id(), it->second.receiver,
                                dc_.now());
       dc_.send(check);
@@ -147,7 +147,7 @@ void RecoveryService::on_nack(const PacketPtr& pkt, bool confirm) {
     } else if (!pending.check_sent) {
       pending.check_sent = true;
       ++stats_.nack_checks_sent;
-      auto check = make_packet(dc_.pool(), PacketType::kNackCheck, ServiceType::kCode,
+      auto check = make_packet(dc_.network().pool(), PacketType::kNackCheck, ServiceType::kCode,
                                key.flow, key.seq, dc_.id(), receiver, dc_.now());
       dc_.send(check);
     }
@@ -192,7 +192,7 @@ bool RecoveryService::serve_in_stream(const PacketKey& key, NodeId receiver) {
   // Ship the in-stream coded packets; the receiver decodes against its own
   // buffered packets of the same flow (half-RTT-to-DC recovery).
   for (const PacketPtr& coded : batch->coded) {
-    auto out = alloc_packet_copy(dc_.pool(), *coded);
+    auto out = dc_.network().pool().acquire_copy(*coded);
     out->dst = receiver;
     out->final_dst = receiver;
     dc_.send(out);
@@ -221,11 +221,11 @@ bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
     if (covered == key) continue;
     const FlowInfo* info = registry_->find(covered.flow);
     if (info == nullptr || info->receiver == kInvalidNode) continue;
-    auto req = make_packet(dc_.pool(), PacketType::kCoopRequest, ServiceType::kCode,
+    auto req = make_packet(dc_.network().pool(), PacketType::kCoopRequest, ServiceType::kCode,
                            covered.flow, covered.seq, dc_.id(), info->receiver,
                            dc_.now());
     // Carry only the batch id; responses echo it back.
-    engage_meta(dc_.pool(), *req);
+    dc_.network().pool().engage_meta(*req);
     req->meta->batch_id = batch_id;
     req->meta->k = batch->meta.k;
     req->meta->r = batch->meta.r;
@@ -285,7 +285,7 @@ void RecoveryService::maybe_finish_op(CoopOp& op) {
   for (auto& rp : *recovered) {
     auto rit = op.requesters.find(rp.key);
     if (rit == op.requesters.end()) continue;  // Nobody asked for this one.
-    auto out = make_packet(dc_.pool(), PacketType::kRecovered, ServiceType::kCode,
+    auto out = make_packet(dc_.network().pool(), PacketType::kRecovered, ServiceType::kCode,
                            rp.key.flow, rp.key.seq, dc_.id(), rit->second, dc_.now());
     out->final_dst = rit->second;
     out->payload = std::move(rp.payload);

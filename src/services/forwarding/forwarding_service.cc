@@ -22,7 +22,7 @@ bool ForwardingService::handle(overlay::DataCenter& dc, const PacketPtr& pkt) {
       return true;
     }
     for (NodeId member : it->second) {
-      auto copy = alloc_packet_copy(dc.pool(), *pkt);
+      auto copy = dc.network().pool().acquire_copy(*pkt);
       copy->dst = member;
       copy->final_dst = member;
       ++stats_.multicast_copies;
@@ -39,7 +39,7 @@ void ForwardingService::forward_unicast(overlay::DataCenter& dc, const PacketPtr
                                         NodeId final_dst) {
   auto it = routes_.find(final_dst);
   const NodeId next_hop = it == routes_.end() ? final_dst : it->second;
-  auto copy = alloc_packet_copy(dc.pool(), *pkt);
+  auto copy = dc.network().pool().acquire_copy(*pkt);
   copy->dst = next_hop;
   ++stats_.forwarded;
   dc.send(copy);

@@ -116,12 +116,8 @@ void TcpWorkload::start_next_transfer() {
 // --------------------------- client side ----------------------------
 
 void TcpWorkload::client_stamp_and_send(std::vector<std::uint8_t> payload) {
-  auto pkt = std::make_shared<Packet>();
-  pkt->type = PacketType::kData;
-  pkt->flow = flow_;
-  pkt->src = client_.id();
-  pkt->dst = server_.id();
-  pkt->sent_at = net_.sim().now();
+  auto pkt = make_packet(net_.pool(), PacketType::kData, ServiceType::kNone, flow_,
+                         /*seq=*/0, client_.id(), server_.id(), net_.sim().now());
   pkt->payload = std::move(payload);
   net_.send(client_.id(), pkt);
 }

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <vector>
 
-#include "common/obj_pool.h"
 #include "common/parallel.h"
 #include "exp/sharded_runner.h"
 #include "geo/path_dataset.h"
@@ -29,11 +29,8 @@ struct SessionState {
   std::uint32_t direct = 0;
   std::uint32_t recovered = 0;
   std::uint32_t lost = 0;
-  // Per-packet codes indexed by the flow's sequence number. Pooled: a soak
-  // opens and closes millions of sessions, and recycling the vector's
-  // capacity keeps session open/close off the global allocator (the buffer
-  // returns to the engine's pool when the session is erased).
-  common::ObjPool<std::vector<std::uint8_t>>::Handle outcome;
+  // Per-packet codes indexed by the flow's sequence number.
+  std::vector<std::uint8_t> outcome;
 };
 
 // One shard's churn workload: owns the ScenarioShard, drives arrivals,
@@ -129,8 +126,7 @@ class ChurnShardEngine {
     s.path = path_index;
     s.opened_at = shard_.sim().now();
     s.total = total;
-    s.outcome = outcome_pool_.acquire();
-    s.outcome->assign(total, kPending);
+    s.outcome.assign(total, kPending);
     ++totals.sessions_opened;
     send_next(flow, 0);
   }
@@ -153,8 +149,8 @@ class ChurnShardEngine {
     auto it = active_.find(rec.flow);
     if (it == active_.end()) return;  // Record for an already-closed session.
     SessionState& s = it->second;
-    if (rec.seq >= s.outcome->size()) return;
-    std::uint8_t& o = (*s.outcome)[rec.seq];
+    if (rec.seq >= s.outcome.size()) return;
+    std::uint8_t& o = s.outcome[rec.seq];
 
     if (rec.late_direct) {
       // The direct copy arrived after all: not a path loss (same
@@ -207,7 +203,7 @@ class ChurnShardEngine {
     // Ground truth: every sequence number with no delivery record by the
     // end of the linger window is a loss (tail losses the receiver never
     // distinguished from a finished stream).
-    for (std::uint8_t& o : *s.outcome) {
+    for (std::uint8_t& o : s.outcome) {
       if (o == kPending) {
         o = kLost;
         ++s.lost;
@@ -249,10 +245,6 @@ class ChurnShardEngine {
   std::vector<netsim::OutageWindow> fault_windows_;
   std::vector<ArrivalProcess> arrivals_;  // Indexed like shard_.path(i).
   std::vector<Rng> size_rngs_;
-  // Engine-wide pool of outcome vectors, touched only by the thread running
-  // this engine; its byte bound keeps a bulk-mix burst from pinning memory
-  // past the soak's concurrency high-water.
-  common::ObjPool<std::vector<std::uint8_t>> outcome_pool_;
   std::unordered_map<FlowId, SessionState> active_;
   SimTime end_ = 0;
   SimDuration send_gap_;

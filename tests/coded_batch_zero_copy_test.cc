@@ -4,12 +4,14 @@
 // test here proves the zero-copy path byte-identical to it — payloads,
 // metadata, and field conventions alike. The arena-reuse tests run the same
 // encoder across growing/shrinking batch shapes so the ASan CI job exercises
-// recycled-arena framing for stale-byte and out-of-bounds bugs.
+// recycled-arena framing for stale-byte and out-of-bounds bugs; the coded
+// packets come from a PacketPool, so recycled payloads are exercised too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "common/packet_pool.h"
 #include "common/rng.h"
 #include "fec/coded_batch.h"
 #include "fec/gf256_simd.h"
@@ -63,6 +65,7 @@ void expect_identical(const std::vector<PacketPtr>& legacy,
 
 TEST(BatchEncoderDifferential, RandomShapesMatchLegacyByteForByte) {
   Rng rng(0x5eed);
+  PacketPool pool;
   BatchEncoder enc;
   std::vector<PacketPtr> out;
   for (int iter = 0; iter < 200; ++iter) {
@@ -74,26 +77,27 @@ TEST(BatchEncoderDifferential, RandomShapesMatchLegacyByteForByte) {
                                static_cast<SimTime>(iter) * 10);
     out.clear();
     enc.encode_into(pkts, r, PacketType::kCrossCoded, batch_id, 7, 9,
-                    static_cast<SimTime>(iter) * 10, out);
+                    static_cast<SimTime>(iter) * 10, out, pool);
     expect_identical(legacy, out);
   }
 }
 
 TEST(BatchEncoderDifferential, SingleBytePayloadEdge) {
   Rng rng(11);
+  PacketPool pool;
   BatchEncoder enc;
   // Every payload exactly one byte (shard = prefix + 1), plus a mix with an
   // empty payload — the smallest frames the pipeline can see.
   auto tiny = random_batch(5, 1, 1, rng);
   auto legacy = encode_batch(tiny, 2, PacketType::kInCoded, 1, 1, 2, 0);
   std::vector<PacketPtr> out;
-  enc.encode_into(tiny, 2, PacketType::kInCoded, 1, 1, 2, 0, out);
+  enc.encode_into(tiny, 2, PacketType::kInCoded, 1, 1, 2, 0, out, pool);
   expect_identical(legacy, out);
 
   auto mixed = random_batch(4, 0, 1, rng);
   legacy = encode_batch(mixed, 1, PacketType::kCrossCoded, 2, 1, 2, 0);
   out.clear();
-  enc.encode_into(mixed, 1, PacketType::kCrossCoded, 2, 1, 2, 0, out);
+  enc.encode_into(mixed, 1, PacketType::kCrossCoded, 2, 1, 2, 0, out, pool);
   expect_identical(legacy, out);
 }
 
@@ -108,20 +112,22 @@ TEST(BatchEncoderDifferential, MaxSizePacketEdge) {
   pkts.push_back(make_pkt(2, 2, {0xaa, 0xbb}));
   pkts.push_back(make_pkt(3, 3, {}));
   auto legacy = encode_batch(pkts, 2, PacketType::kCrossCoded, 77, 3, 4, 5);
+  PacketPool pool;
   BatchEncoder enc;
   std::vector<PacketPtr> out;
-  enc.encode_into(pkts, 2, PacketType::kCrossCoded, 77, 3, 4, 5, out);
+  enc.encode_into(pkts, 2, PacketType::kCrossCoded, 77, 3, 4, 5, out, pool);
   expect_identical(legacy, out);
 }
 
 TEST(BatchEncoder, ArenaIsRecycledAcrossShapes) {
   Rng rng(13);
+  PacketPool pool;
   BatchEncoder enc;
   std::vector<PacketPtr> out;
   // Grow to the high-water shape first.
   auto big = random_batch(20, 1400, 1500, rng);
   out.clear();
-  enc.encode_into(big, 3, PacketType::kCrossCoded, 1, 1, 2, 0, out);
+  enc.encode_into(big, 3, PacketType::kCrossCoded, 1, 1, 2, 0, out, pool);
   const std::size_t high_water = enc.arena().capacity_bytes();
   EXPECT_GT(high_water, 0u);
 
@@ -135,7 +141,7 @@ TEST(BatchEncoder, ArenaIsRecycledAcrossShapes) {
                                static_cast<std::uint32_t>(100 + iter), 1, 2, 0);
     out.clear();
     enc.encode_into(pkts, 2, PacketType::kCrossCoded,
-                    static_cast<std::uint32_t>(100 + iter), 1, 2, 0, out);
+                    static_cast<std::uint32_t>(100 + iter), 1, 2, 0, out, pool);
     expect_identical(legacy, out);
     EXPECT_EQ(enc.arena().capacity_bytes(), high_water)
         << "arena reallocated for a batch no larger than the high-water shape";
@@ -144,24 +150,26 @@ TEST(BatchEncoder, ArenaIsRecycledAcrossShapes) {
 
 TEST(BatchEncoder, AppendsWithoutClearingOut) {
   Rng rng(14);
+  PacketPool pool;
   BatchEncoder enc;
   auto pkts = random_batch(3, 10, 20, rng);
   std::vector<PacketPtr> out;
-  enc.encode_into(pkts, 2, PacketType::kCrossCoded, 1, 1, 2, 0, out);
+  enc.encode_into(pkts, 2, PacketType::kCrossCoded, 1, 1, 2, 0, out, pool);
   ASSERT_EQ(out.size(), 2u);
-  enc.encode_into(pkts, 1, PacketType::kCrossCoded, 2, 1, 2, 0, out);
+  enc.encode_into(pkts, 1, PacketType::kCrossCoded, 2, 1, 2, 0, out, pool);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2]->meta->batch_id, 2u);
 }
 
 TEST(BatchEncoder, RejectsSameShapesAsLegacy) {
+  PacketPool pool;
   BatchEncoder enc;
   std::vector<PacketPtr> out;
-  EXPECT_THROW(enc.encode_into({}, 2, PacketType::kCrossCoded, 1, 1, 2, 0, out),
+  EXPECT_THROW(enc.encode_into({}, 2, PacketType::kCrossCoded, 1, 1, 2, 0, out, pool),
                std::invalid_argument);
   Rng rng(15);
   auto too_big = random_batch(254, 1, 4, rng);
-  EXPECT_THROW(enc.encode_into(too_big, 2, PacketType::kCrossCoded, 1, 1, 2, 0, out),
+  EXPECT_THROW(enc.encode_into(too_big, 2, PacketType::kCrossCoded, 1, 1, 2, 0, out, pool),
                std::invalid_argument);
 
   // A payload past the u16 length prefix must be refused, not silently
@@ -169,7 +177,7 @@ TEST(BatchEncoder, RejectsSameShapesAsLegacy) {
   std::vector<PacketPtr> oversized = {make_pkt(1, 1, std::vector<std::uint8_t>(65536))};
   EXPECT_THROW(encode_batch(oversized, 1, PacketType::kCrossCoded, 1, 1, 2, 0),
                std::invalid_argument);
-  EXPECT_THROW(enc.encode_into(oversized, 1, PacketType::kCrossCoded, 1, 1, 2, 0, out),
+  EXPECT_THROW(enc.encode_into(oversized, 1, PacketType::kCrossCoded, 1, 1, 2, 0, out, pool),
                std::invalid_argument);
 }
 
@@ -190,6 +198,7 @@ TEST(ShardArena, ShardsAreAlignedAndStrided) {
 
 TEST(DecodeBatchArena, MatchesTransientOverloadUnderRandomErasures) {
   Rng rng(0xdec0);
+  PacketPool pool;
   BatchEncoder enc;
   ShardArena decode_arena;
   std::vector<PacketPtr> coded;
@@ -199,7 +208,7 @@ TEST(DecodeBatchArena, MatchesTransientOverloadUnderRandomErasures) {
     auto pkts = random_batch(k, 0, 300, rng);
     coded.clear();
     enc.encode_into(pkts, r, PacketType::kCrossCoded, static_cast<std::uint32_t>(iter),
-                    1, 2, 0, coded);
+                    1, 2, 0, coded, pool);
     const CodedMeta& meta = *coded[0]->meta;
 
     // Drop up to r data packets at random positions.
@@ -233,11 +242,12 @@ TEST(DecodeBatchArena, MatchesTransientOverloadUnderRandomErasures) {
 
 TEST(DecodeBatchArena, FailsExactlyLikeTransientOverload) {
   Rng rng(16);
+  PacketPool pool;
   BatchEncoder enc;
   ShardArena decode_arena;
   auto pkts = random_batch(6, 10, 50, rng);
   std::vector<PacketPtr> coded;
-  enc.encode_into(pkts, 1, PacketType::kCrossCoded, 9, 1, 2, 0, coded);
+  enc.encode_into(pkts, 1, PacketType::kCrossCoded, 9, 1, 2, 0, coded, pool);
   const CodedMeta& meta = *coded[0]->meta;
   // Two missing, one coded symbol: both overloads must refuse.
   std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present;

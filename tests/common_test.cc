@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "common/packet.h"
+#include "common/packet_pool.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/wire.h"
@@ -158,7 +159,8 @@ TEST(Packet, NackInfoRejectsBogusCount) {
 }
 
 TEST(Packet, FactoriesPopulateFields) {
-  auto p = make_data_packet(3, 4, 1, 2, 1000, 64);
+  PacketPool pool;
+  auto p = make_data_packet(pool, 3, 4, 1, 2, 1000, 64);
   EXPECT_EQ(p->type, PacketType::kData);
   EXPECT_EQ(p->flow, 3u);
   EXPECT_EQ(p->seq, 4u);

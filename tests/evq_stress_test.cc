@@ -170,7 +170,7 @@ TEST(EvqStress, DifferentialAgainstHeapAndNaiveModel) {
   }
 }
 
-TEST(EvqStress, PopReadyMatchesSequentialPops) {
+TEST(EvqStress, DrainMatchesSequentialPops) {
   for (std::uint64_t seed : {5ull, 6ull}) {
     Rng rng(seed);
     EventQueue batched(EvqBackend::kLadder);
@@ -183,12 +183,10 @@ TEST(EvqStress, PopReadyMatchesSequentialPops) {
     }
     // Drain in horizon steps on one queue, one event at a time on the other.
     for (SimTime h = msec(20); !batched.empty(); h += msec(20)) {
-      std::vector<EventQueue::Fired> batch;
-      batched.pop_ready(h, batch);
-      for (auto& f : batch) {
-        ASSERT_LE(f.at, h);
-        f.fn();
-      }
+      batched.drain(h, [h](SimTime at, EventFn&& fn) {
+        ASSERT_LE(at, h);
+        fn();
+      });
       while (!serial.empty() && serial.next_time() <= h) serial.pop().fn();
     }
     EXPECT_EQ(got_batched, got_serial) << "seed=" << seed;

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "common/packet_pool.h"
 #include "common/rng.h"
 #include "netsim/latency_model.h"
 #include "netsim/link.h"
@@ -60,23 +61,6 @@ TEST(EventQueue, CancelOfFiredIdIsNoOpEvenAfterSlotReuse) {
   }
 }
 
-TEST(EventQueue, PopReadyBatchesByHorizon) {
-  for (EvqBackend b : kBackends) {
-    EventQueue q(b);
-    std::vector<int> order;
-    q.push(30, [&] { order.push_back(3); });
-    q.push(10, [&] { order.push_back(0); });
-    q.push(20, [&] { order.push_back(2); });
-    q.push(10, [&] { order.push_back(1); });
-    std::vector<EventQueue::Fired> batch;
-    EXPECT_EQ(q.pop_ready(20, batch), 3u) << evq_backend_name(b);
-    for (auto& f : batch) f.fn();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2})) << evq_backend_name(b);
-    EXPECT_EQ(q.size(), 1u) << evq_backend_name(b);
-    EXPECT_EQ(q.next_time(), 30) << evq_backend_name(b);
-  }
-}
-
 TEST(EventQueue, DrainPicksUpEventsPushedAndCancelledMidBatch) {
   for (EvqBackend b : kBackends) {
     EventQueue q(b);
@@ -96,6 +80,26 @@ TEST(EventQueue, DrainPicksUpEventsPushedAndCancelledMidBatch) {
     EXPECT_EQ(fired, 3u) << evq_backend_name(b);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 9})) << evq_backend_name(b);
     EXPECT_EQ(q.size(), 1u) << evq_backend_name(b);
+  }
+  // Plain horizon cut: events pushed out of order fire by (time, insertion)
+  // up to and including the horizon; later ones stay queued.
+  for (EvqBackend b : kBackends) {
+    EventQueue q(b);
+    std::vector<int> order;
+    q.push(30, [&] { order.push_back(3); });
+    q.push(10, [&] { order.push_back(0); });
+    q.push(20, [&] { order.push_back(2); });
+    q.push(10, [&] { order.push_back(1); });
+    std::vector<SimTime> times;
+    const std::size_t fired = q.drain(20, [&times](SimTime at, EventFn&& fn) {
+      times.push_back(at);
+      fn();
+    });
+    EXPECT_EQ(fired, 3u) << evq_backend_name(b);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2})) << evq_backend_name(b);
+    EXPECT_EQ(times, (std::vector<SimTime>{10, 10, 20})) << evq_backend_name(b);
+    EXPECT_EQ(q.size(), 1u) << evq_backend_name(b);
+    EXPECT_EQ(q.next_time(), 30) << evq_backend_name(b);
   }
 }
 
@@ -307,9 +311,10 @@ struct SinkNode final : Node {
 
 TEST(Link, DeliversWithLatency) {
   Simulator sim;
-  Link link(sim, 1, 2, make_fixed_latency(msec(10)), make_no_loss());
+  PacketPool pool;
+  Link link(sim, pool, 1, 2, make_fixed_latency(msec(10)), make_no_loss());
   SimTime delivered_at = -1;
-  link.send(make_data_packet(1, 0, 1, 2, sim.now(), 100),
+  link.send(make_data_packet(pool, 1, 0, 1, 2, sim.now(), 100),
             [&](const PacketPtr&) { delivered_at = sim.now(); });
   sim.run();
   EXPECT_EQ(delivered_at, msec(10));
@@ -318,9 +323,11 @@ TEST(Link, DeliversWithLatency) {
 
 TEST(Link, LossCountsAndSuppressesDelivery) {
   Simulator sim;
-  Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_bernoulli_loss(1.0, Rng(1)));
+  PacketPool pool;
+  Link link(sim, pool, 1, 2, make_fixed_latency(msec(1)),
+            make_bernoulli_loss(1.0, Rng(1)));
   int delivered = 0;
-  link.send(make_data_packet(1, 0, 1, 2, 0, 10), [&](const PacketPtr&) { ++delivered; });
+  link.send(make_data_packet(pool, 1, 0, 1, 2, 0, 10), [&](const PacketPtr&) { ++delivered; });
   sim.run();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(link.stats().dropped_packets, 1u);
@@ -329,8 +336,9 @@ TEST(Link, LossCountsAndSuppressesDelivery) {
 
 TEST(Link, BandwidthSerializesFifo) {
   Simulator sim;
+  PacketPool pool;
   // 8 kbit/s: a 100-byte packet (800 bits) takes 100 ms to serialize.
-  Link link(sim, 1, 2, make_fixed_latency(0), make_no_loss(), 8000.0);
+  Link link(sim, pool, 1, 2, make_fixed_latency(0), make_no_loss(), 8000.0);
   std::vector<SimTime> arrivals;
   for (int i = 0; i < 3; ++i) {
     auto p = std::make_shared<Packet>();
@@ -351,10 +359,11 @@ TEST(Link, PreserveOrderPreventsReordering) {
   p.base = msec(10);
   p.jitter_scale_ms = 5.0;
   p.jitter_sigma = 1.2;
-  Link link(sim, 1, 2, make_jitter_latency(p, Rng(6)), make_no_loss());
+  PacketPool pool;
+  Link link(sim, pool, 1, 2, make_jitter_latency(p, Rng(6)), make_no_loss());
   std::vector<SeqNo> arrivals;
   for (SeqNo s = 0; s < 200; ++s) {
-    link.send(make_data_packet(1, s, 1, 2, sim.now(), 10),
+    link.send(make_data_packet(pool, 1, s, 1, 2, sim.now(), 10),
               [&arrivals](const PacketPtr& pkt) { arrivals.push_back(pkt->seq); });
   }
   sim.run();
@@ -371,7 +380,7 @@ TEST(Network, RoutesBetweenNodes) {
   net.attach(a);
   net.attach(b);
   net.add_link(a.id(), b.id(), make_fixed_latency(msec(5)), make_no_loss());
-  net.send(a.id(), make_data_packet(1, 0, a.id(), b.id(), 0, 10));
+  net.send(a.id(), make_data_packet(net.pool(), 1, 0, a.id(), b.id(), 0, 10));
   sim.run();
   ASSERT_EQ(b.received.size(), 1u);
   EXPECT_EQ(b.received[0]->seq, 0u);
@@ -383,7 +392,7 @@ TEST(Network, MissingLinkCountsRoutingFailure) {
   SinkNode a(net.allocate_id()), b(net.allocate_id());
   net.attach(a);
   net.attach(b);
-  net.send(a.id(), make_data_packet(1, 0, a.id(), b.id(), 0, 10));
+  net.send(a.id(), make_data_packet(net.pool(), 1, 0, a.id(), b.id(), 0, 10));
   sim.run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(net.routing_failures(), 1u);

@@ -34,7 +34,7 @@ TEST(DataCenter, DispatchStopsAtConsumingService) {
   dc.install(second);
   dc.install(third);
 
-  auto pkt = make_data_packet(1, 0, 99, dc.id(), 0, 32);
+  auto pkt = make_data_packet(net.pool(), 1, 0, 99, dc.id(), 0, 32);
   dc.handle_packet(pkt);
   EXPECT_EQ(first->seen, 1);
   EXPECT_EQ(second->seen, 1);
@@ -46,7 +46,7 @@ TEST(DataCenter, UnhandledPacketsCounted) {
   netsim::Simulator sim;
   netsim::Network net(sim);
   DataCenter dc(net, 0, "dc-test");
-  dc.handle_packet(make_data_packet(1, 0, 99, dc.id(), 0, 32));
+  dc.handle_packet(make_data_packet(net.pool(), 1, 0, 99, dc.id(), 0, 32));
   EXPECT_EQ(dc.unhandled_packets(), 1u);
 }
 
@@ -58,11 +58,11 @@ TEST(DataCenter, IngressEgressAccounting) {
   net.add_link(dc.id(), dst.id(), netsim::make_fixed_latency(msec(1)),
                netsim::make_no_loss());
 
-  auto in = make_data_packet(1, 0, 99, dc.id(), 0, 100);
+  auto in = make_data_packet(net.pool(), 1, 0, 99, dc.id(), 0, 100);
   dc.handle_packet(in);
   EXPECT_EQ(dc.ingress_bytes(), in->wire_size());
 
-  auto out = make_data_packet(1, 1, dc.id(), dst.id(), 0, 200);
+  auto out = make_data_packet(net.pool(), 1, 1, dc.id(), dst.id(), 0, 200);
   dc.send(out);
   EXPECT_EQ(dc.egress_bytes(), out->wire_size());
   EXPECT_EQ(dc.egress_packets(), 1u);

@@ -1,24 +1,23 @@
-// Object-pool subsystem tests: ObjPool checkout/return RAII semantics,
-// byte-bounded trim limits, high-water accounting, handles and packets that
-// outlive their pool (ASan validates the Core lifetime rules), PacketPool
-// recycling behind the packet.h factories, the JQOS_OBJ_POOL env gate, and
-// the load-bearing determinism property: WAN-scenario and churn fingerprints
-// are bit-identical with pools on vs off, across event-queue backends. Pool
-// state must never feed a simulation value.
+// PacketPool tests: recycling behind the packet.h factories, packets that
+// outlive their pool (ASan validates the Core lifetime rules), the
+// JQOS_OBJ_POOL env gate, and the load-bearing determinism property: WAN,
+// churn and incast results are bit-identical with pooling on vs off, across
+// event-queue backends. Pool state must never feed a simulation value.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/obj_pool.h"
 #include "common/packet.h"
 #include "common/packet_pool.h"
 #include "common/rng.h"
+#include "exp/incast.h"
 #include "exp/scenario.h"
 #include "geo/path_dataset.h"
 #include "netsim/event_queue.h"
@@ -28,139 +27,12 @@
 namespace jqos {
 namespace {
 
-using common::ObjPool;
 using jqos::testing::EnvVarGuard;
 using jqos::testing::EvqBackendGuard;
 
-using BytePool = ObjPool<std::vector<std::uint8_t>>;
-
-// --- ObjPool<T> semantics ------------------------------------------------
-
-TEST(ObjPoolTest, RoundTripReusesStorage) {
-  BytePool pool;
-  std::uint8_t* buf = nullptr;
-  {
-    auto h = pool.acquire();
-    ASSERT_TRUE(h);
-    h->assign(100, 0xab);
-    buf = h->data();
-  }
-  EXPECT_EQ(pool.pooled_count(), 1u);
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.fresh(), 1u);
-  EXPECT_EQ(pool.reused(), 0u);
-
-  auto h2 = pool.acquire();
-  EXPECT_EQ(pool.reused(), 1u);
-  EXPECT_EQ(pool.fresh(), 1u);
-  // The object comes back scrubbed (empty) but with its buffer retained.
-  EXPECT_TRUE(h2->empty());
-  EXPECT_GE(h2->capacity(), 100u);
-  EXPECT_EQ(h2->data(), buf);
-}
-
-TEST(ObjPoolTest, HandleMoveAndExplicitRelease) {
-  BytePool pool;
-  auto a = pool.acquire();
-  auto b = std::move(a);
-  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty.
-  EXPECT_TRUE(b);
-  EXPECT_EQ(pool.outstanding(), 1u);
-
-  BytePool::Handle c;
-  c = std::move(b);
-  EXPECT_TRUE(c);
-  EXPECT_EQ(pool.outstanding(), 1u);
-
-  c.release();
-  EXPECT_FALSE(c);
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.pooled_count(), 1u);
-  c.release();  // Idempotent.
-  EXPECT_EQ(pool.pooled_count(), 1u);
-}
-
-TEST(ObjPoolTest, HighWaterTracksMaxSimultaneousCheckouts) {
-  BytePool pool;
-  {
-    std::vector<BytePool::Handle> held;
-    for (int i = 0; i < 3; ++i) held.push_back(pool.acquire());
-    EXPECT_EQ(pool.outstanding(), 3u);
-    EXPECT_EQ(pool.high_water(), 3u);
-  }
-  EXPECT_EQ(pool.outstanding(), 0u);
-  // High water is a ratchet: it survives the returns.
-  EXPECT_EQ(pool.high_water(), 3u);
-  { auto h = pool.acquire(); }
-  EXPECT_EQ(pool.high_water(), 3u);
-}
-
-TEST(ObjPoolTest, OversizedObjectsAreFreedNotPooled) {
-  BytePool::Limits limits;
-  limits.max_retained_bytes = 1u << 20;
-  limits.max_object_bytes = 512;
-  BytePool pool(limits);
-  {
-    auto h = pool.acquire();
-    h->reserve(4096);  // Outgrows max_object_bytes: must not fatten the pool.
-  }
-  EXPECT_EQ(pool.pooled_count(), 0u);
-  EXPECT_EQ(pool.pooled_bytes(), 0u);
-  {
-    auto h = pool.acquire();
-    h->reserve(64);  // Small buffers still pool.
-  }
-  EXPECT_EQ(pool.pooled_count(), 1u);
-}
-
-TEST(ObjPoolTest, RetainedBytesBoundedByTotalBudgetNotCount) {
-  BytePool::Limits limits;
-  limits.max_retained_bytes = 2048;
-  limits.max_object_bytes = 2048;
-  BytePool pool(limits);
-  {
-    std::vector<BytePool::Handle> held;
-    for (int i = 0; i < 4; ++i) {
-      held.push_back(pool.acquire());
-      held.back()->reserve(700);
-    }
-  }
-  // Each return retains ~700 bytes of capacity; the byte budget admits two
-  // of the four, and the rest are freed (a count bound would keep all 4).
-  EXPECT_LT(pool.pooled_count(), 4u);
-  EXPECT_LE(pool.pooled_bytes(), 2048u);
-  EXPECT_GT(pool.pooled_bytes(), 0u);
-}
-
-TEST(ObjPoolTest, TrimFreesEverythingPooled) {
-  BytePool pool;
-  for (int i = 0; i < 5; ++i) {
-    auto h = pool.acquire();
-    h->reserve(256);
-    // Cycle one at a time so each return lands on the freelist.
-  }
-  EXPECT_GT(pool.pooled_bytes(), 0u);
-  pool.trim();
-  EXPECT_EQ(pool.pooled_count(), 0u);
-  EXPECT_EQ(pool.pooled_bytes(), 0u);
-  // The pool keeps working after a trim.
-  auto h = pool.acquire();
-  EXPECT_TRUE(h);
-}
-
-TEST(ObjPoolTest, HandleOutlivesPoolFacade) {
-  // The freelist Core is refcounted: a handle released after the pool facade
-  // is gone frees cleanly instead of dangling (the churn engine erases
-  // sessions whose outcome buffers may still be in flight).
-  BytePool::Handle survivor;
-  {
-    BytePool pool;
-    survivor = pool.acquire();
-    survivor->assign(32, 0xcd);
-  }
-  EXPECT_TRUE(survivor);
-  survivor.release();  // Must not crash; ASan validates the free.
-}
+// Every PacketPool reads JQOS_OBJ_POOL when it is built, so a guard around
+// construction pins the mode whatever the suite runs under.
+const char* pool_mode(bool pooled) { return pooled ? "1" : "0"; }
 
 // --- PacketPool ----------------------------------------------------------
 
@@ -177,11 +49,11 @@ TEST(PacketPoolTest, EnvGateReadAtConstruction) {
   }
   {
     const EnvVarGuard on("JQOS_OBJ_POOL", std::string("1"));
-    EXPECT_TRUE(PacketPool(PacketPool::env_enabled()).enabled());
+    EXPECT_TRUE(PacketPool().enabled());
   }
   {
     const EnvVarGuard unset("JQOS_OBJ_POOL", std::nullopt);
-    EXPECT_TRUE(PacketPool::env_enabled());  // Pools default ON.
+    EXPECT_TRUE(PacketPool().enabled());  // Pools default ON.
   }
   // Anything but unset/0/1 is a typo, not a mode: it must fail loudly with
   // the variable, the value, and the accepted forms in the message.
@@ -203,7 +75,8 @@ TEST(PacketPoolTest, EnvGateReadAtConstruction) {
 }
 
 TEST(PacketPoolTest, AcquireRecyclesStorageAndControlBlock) {
-  PacketPool pool(/*enabled=*/true);
+  const EnvVarGuard on("JQOS_OBJ_POOL", pool_mode(true));
+  PacketPool pool;
   {
     auto p = pool.acquire();
     p->payload.assign(512, 0xee);
@@ -228,7 +101,8 @@ TEST(PacketPoolTest, AcquireRecyclesStorageAndControlBlock) {
 }
 
 TEST(PacketPoolTest, AcquireCopyIsDeep) {
-  PacketPool pool(/*enabled=*/true);
+  const EnvVarGuard on("JQOS_OBJ_POOL", pool_mode(true));
+  PacketPool pool;
   Packet src;
   src.type = PacketType::kCrossCoded;
   src.service = ServiceType::kCode;
@@ -270,7 +144,8 @@ TEST(PacketPoolTest, PacketsOutliveThePool) {
   // into a still-live freelist and the storage dies with the last reference.
   PacketPtr survivor;
   {
-    PacketPool pool(/*enabled=*/true);
+    const EnvVarGuard on("JQOS_OBJ_POOL", pool_mode(true));
+  PacketPool pool;
     auto p = pool.acquire();
     p->payload.assign(64, 0x5a);
     survivor = std::move(p);
@@ -280,11 +155,21 @@ TEST(PacketPoolTest, PacketsOutliveThePool) {
 }
 
 TEST(PacketPoolTest, FactoriesProduceIdenticalPacketsPooledOrNot) {
-  PacketPool pool(/*enabled=*/true);
-  const PacketPtr pooled = make_data_packet(9, 55, 1, 2, 777, 300, &pool);
-  const PacketPtr plain = make_data_packet(9, 55, 1, 2, 777, 300, nullptr);
+  auto make_pool = [](bool pooled) {
+    const EnvVarGuard env("JQOS_OBJ_POOL", pool_mode(pooled));
+    return std::make_unique<PacketPool>();
+  };
+  const auto on = make_pool(true);
+  const auto off = make_pool(false);
+  ASSERT_TRUE(on->enabled());
+  ASSERT_FALSE(off->enabled());
+  const PacketPtr pooled = make_data_packet(*on, 9, 55, 1, 2, 777, 300);
+  const PacketPtr plain = make_data_packet(*off, 9, 55, 1, 2, 777, 300);
   EXPECT_EQ(pooled->serialize(), plain->serialize());
   EXPECT_EQ(pooled->wire_size(), plain->wire_size());
+  // A disabled pool hands out plain heap packets and keeps no books.
+  EXPECT_EQ(off->fresh() + off->reused(), 0u);
+  EXPECT_EQ(on->fresh(), 1u);
 }
 
 // --- Determinism: pools must never perturb simulation values -------------
@@ -329,10 +214,10 @@ std::uint64_t wan_fingerprint(exp::WanScenario& sc) {
 }
 
 // One lossy coded-path scenario; the pool env guard wraps CONSTRUCTION
-// because every PacketPool reads JQOS_OBJ_POOL when it is built.
+// because the Network's PacketPool reads JQOS_OBJ_POOL when it is built.
 std::uint64_t wan_fp(bool pooled, netsim::EvqBackend backend) {
   const EvqBackendGuard evq(backend);
-  const EnvVarGuard pool_env("JQOS_OBJ_POOL", std::string(pooled ? "1" : "0"));
+  const EnvVarGuard pool_env("JQOS_OBJ_POOL", pool_mode(pooled));
   Rng geo_rng(0x706f6f6cULL);
   const auto paths = geo::planetlab_paths(3, geo_rng);
   exp::WanScenarioParams p;
@@ -344,7 +229,7 @@ std::uint64_t wan_fp(bool pooled, netsim::EvqBackend backend) {
   return wan_fingerprint(sc);
 }
 
-TEST(ObjPoolDeterminism, WanFingerprintIdenticalPoolsOnOff) {
+TEST(PacketPoolDeterminism, WanFingerprintIdenticalPoolsOnOff) {
   for (const auto backend : {netsim::EvqBackend::kHeap, netsim::EvqBackend::kLadder}) {
     SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend));
     EXPECT_EQ(wan_fp(/*pooled=*/true, backend), wan_fp(/*pooled=*/false, backend));
@@ -353,7 +238,7 @@ TEST(ObjPoolDeterminism, WanFingerprintIdenticalPoolsOnOff) {
 
 std::uint64_t churn_fp(bool pooled, netsim::EvqBackend backend) {
   const EvqBackendGuard evq(backend);
-  const EnvVarGuard pool_env("JQOS_OBJ_POOL", std::string(pooled ? "1" : "0"));
+  const EnvVarGuard pool_env("JQOS_OBJ_POOL", pool_mode(pooled));
   workload::ChurnConfig cfg;
   cfg.num_pairs = 3;
   cfg.duration = sec(2);
@@ -366,10 +251,43 @@ std::uint64_t churn_fp(bool pooled, netsim::EvqBackend backend) {
   return workload::run_churn(cfg).fingerprint();
 }
 
-TEST(ObjPoolDeterminism, ChurnFingerprintIdenticalPoolsOnOff) {
+TEST(PacketPoolDeterminism, ChurnFingerprintIdenticalPoolsOnOff) {
   for (const auto backend : {netsim::EvqBackend::kHeap, netsim::EvqBackend::kLadder}) {
     SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend));
     EXPECT_EQ(churn_fp(/*pooled=*/true, backend), churn_fp(/*pooled=*/false, backend));
+  }
+}
+
+// Incast through an ECN CoDel bottleneck: the switch's relay copies and the
+// bottleneck link's copy-on-CE-mark clones both come from the Network's pool.
+struct IncastRun {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t ce_marked = 0;
+};
+
+IncastRun incast_run(bool pooled, netsim::EvqBackend backend) {
+  const EnvVarGuard pool_env("JQOS_OBJ_POOL", pool_mode(pooled));
+  exp::IncastParams p;  // 16 senders x 64-packet bursts, ECT, 4 epochs.
+  p.qdisc.kind = netsim::QdiscKind::kCoDel;
+  p.qdisc.limit_bytes = 8 << 20;  // Cap out of the way: CoDel marks, never drops.
+  exp::IncastScenario sc(p, backend);
+  const exp::IncastResult r = sc.run();
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::uint64_t v : {r.sent, r.delivered, r.ce_marked, r.bottleneck.delivered_packets,
+                          r.bottleneck.queue_drops, r.bottleneck.ecn_marked,
+                          r.events_processed, static_cast<std::uint64_t>(r.end_time)}) {
+    fnv(h, v);
+  }
+  for (double d : r.epoch_drain_ms) fnv_d(h, d);
+  return {h, r.ce_marked};
+}
+
+TEST(PacketPoolDeterminism, IncastCoDelIdenticalPoolsOnOff) {
+  for (const auto backend : {netsim::EvqBackend::kHeap, netsim::EvqBackend::kLadder}) {
+    SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend));
+    const IncastRun on = incast_run(/*pooled=*/true, backend);
+    ASSERT_GT(on.ce_marked, 0u) << "the CE-mark copy path never ran";
+    EXPECT_EQ(on.fingerprint, incast_run(/*pooled=*/false, backend).fingerprint);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/packet.h"
+#include "common/packet_pool.h"
 #include "netsim/link.h"
 #include "netsim/queue_disc.h"
 
@@ -186,10 +187,11 @@ PacketPtr make_test_packet(std::size_t payload_bytes, bool ect) {
 
 TEST(LinkQueueDisc, QueueDropsCountedSeparatelyFromLossModel) {
   Simulator sim;
+  PacketPool pool;
   QdiscConfig cfg;
   cfg.limit_bytes = 4000;  // Roughly 3 packets of headroom.
   // 1 Mbps bottleneck, lossless wire: every missing packet is a queue drop.
-  Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 1e6,
+  Link link(sim, pool, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 1e6,
             /*preserve_order=*/true, make_queue_disc(cfg, Rng(7)));
 
   std::uint64_t delivered = 0;
@@ -212,11 +214,12 @@ TEST(LinkQueueDisc, QueueDropsCountedSeparatelyFromLossModel) {
 
 TEST(LinkQueueDisc, CoDelMarksEctBurstCopyOnWrite) {
   Simulator sim;
+  PacketPool pool;
   QdiscConfig cfg;
   cfg.kind = QdiscKind::kCoDel;
   // 1 Mbps: a 40-packet burst of 1000 B builds ~320 ms of sojourn, far past
   // CoDel's 5 ms target, so marks must appear within the burst.
-  Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 1e6,
+  Link link(sim, pool, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 1e6,
             /*preserve_order=*/true, make_queue_disc(cfg, Rng(7)));
 
   std::vector<PacketPtr> sent;
@@ -241,9 +244,10 @@ TEST(LinkQueueDisc, CoDelMarksEctBurstCopyOnWrite) {
 
 TEST(LinkQueueDisc, ZeroBandwidthLinkNeverConsultsDiscipline) {
   Simulator sim;
+  PacketPool pool;
   QdiscConfig cfg;
   cfg.limit_bytes = 1;  // Would drop everything if consulted.
-  Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 0.0,
+  Link link(sim, pool, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 0.0,
             /*preserve_order=*/true, make_queue_disc(cfg, Rng(7)));
   std::uint64_t delivered = 0;
   for (int i = 0; i < 8; ++i) {

@@ -136,7 +136,7 @@ TEST(Sender, ReceiveHandlerGetsInboundPackets) {
   f.sender.set_receive_handler([&inbound](const PacketPtr& p) { inbound.push_back(p); });
   f.net.add_link(f.receiver.id(), f.sender.id(), netsim::make_fixed_latency(msec(1)),
                  netsim::make_no_loss());
-  auto ack = make_data_packet(1, 0, f.receiver.id(), f.sender.id(), 0, 8);
+  auto ack = make_data_packet(f.net.pool(), 1, 0, f.receiver.id(), f.sender.id(), 0, 8);
   f.net.send(f.receiver.id(), ack);
   f.sim.run();
   ASSERT_EQ(inbound.size(), 1u);

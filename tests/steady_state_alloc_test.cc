@@ -8,10 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "common/alloc_probe.h"
 #include "common/packet.h"
-#include "common/packet_pool.h"
 #include "endpoint/receiver.h"
 #include "endpoint/sender.h"
 #include "netsim/latency_model.h"
@@ -26,6 +26,7 @@ namespace {
 // schedule, so even in steady state it allocates O(1) per drain; that churn
 // is bounded and pinned by its own memory-regression test. Pin the heap
 // backend here so this suite measures the PACKET path alone.
+using jqos::testing::EnvVarGuard;
 using jqos::testing::EvqBackendGuard;
 
 struct Sink final : netsim::Node {
@@ -42,6 +43,9 @@ TEST(SteadyStateAlloc, SenderDuplicationPathIsAllocationFree) {
   }
 
   const EvqBackendGuard evq(netsim::EvqBackend::kHeap);
+  // The Network's pool reads JQOS_OBJ_POOL when the Network is built; this
+  // suite asserts the pooled path, so pin pooling on whatever the caller set.
+  const EnvVarGuard pool_on("JQOS_OBJ_POOL", std::string("1"));
   netsim::Simulator sim;
   netsim::Network net(sim);
   Sink receiver(net);
@@ -51,9 +55,6 @@ TEST(SteadyStateAlloc, SenderDuplicationPathIsAllocationFree) {
                netsim::make_no_loss());
   net.add_link(sender.id(), dc1.id(), netsim::make_fixed_latency(msec(5)),
                netsim::make_no_loss());
-
-  PacketPool pool(/*enabled=*/true);
-  sender.set_pool(&pool);
 
   endpoint::SenderPolicy policy;
   policy.service = ServiceType::kCode;
@@ -81,7 +82,7 @@ TEST(SteadyStateAlloc, SenderDuplicationPathIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "sender duplication path hit the global allocator "
                         << allocs << " times over "
                         << (kRounds * kBurst * 2) << " packets";
-  EXPECT_GT(pool.reused(), 0u);
+  EXPECT_GT(net.pool().reused(), 0u);
 }
 
 TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
@@ -89,6 +90,7 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
     GTEST_SKIP() << "alloc probe inactive (sanitizer build owns the heap)";
   }
 
+  const EnvVarGuard pool_on("JQOS_OBJ_POOL", std::string("1"));
   netsim::Simulator sim;
   netsim::Network net(sim);
   endpoint::ReceiverConfig rc;
@@ -96,15 +98,12 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
   endpoint::Receiver receiver(net, rc);
   receiver.expect_flow(1);
 
-  PacketPool pool(/*enabled=*/true);
-  receiver.set_pool(&pool);
-
   SeqNo seq = 0;
   auto feed = [&](int n) {
     for (int i = 0; i < n; ++i) {
       receiver.handle_packet(
-          make_data_packet(1, seq++, /*src=*/1, /*dst=*/receiver.id(),
-                           /*now=*/0, /*payload_bytes=*/256, &pool));
+          make_data_packet(net.pool(), 1, seq++, /*src=*/1, /*dst=*/receiver.id(),
+                           /*now=*/0, /*payload_bytes=*/256));
     }
   };
 
@@ -119,7 +118,7 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
 
   EXPECT_EQ(allocs, 0u) << "receiver in-order path hit the global allocator "
                         << allocs << " times over " << kPackets << " packets";
-  EXPECT_GT(pool.reused(), 0u);
+  EXPECT_GT(net.pool().reused(), 0u);
 }
 
 }  // namespace
