@@ -35,14 +35,7 @@ void Receiver::expect_flow(FlowId flow) {
 void Receiver::forget_flow(FlowId flow) {
   auto it = flows_.find(flow);
   if (it == flows_.end()) return;
-  FlowState& fs = it->second;
-  if (fs.timer_armed) {
-    net_.sim().cancel(fs.timer);
-    fs.timer_armed = false;
-  }
-  // Bump the generation so an already-dispatched timer closure that raced
-  // the cancel finds a stale generation even if the flow id is reused.
-  ++fs.timer_gen;
+  net_.sim().cancel(it->second.timer);
   flows_.erase(it);
 }
 
@@ -154,7 +147,7 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   // recovered packets say nothing about the direct path, but they do keep
   // the flow (and its timer) alive so outage recovery continues.
   fs.last_activity = now;
-  if (config_.failover.enabled && !overlay_up_ && !probe_armed_) {
+  if (config_.failover.enabled && !overlay_up_ && !net_.sim().pending(probe_timer_)) {
     // Traffic-driven probe restart: the probe chain stops when all flows go
     // idle (so the event queue can drain); fresh arrivals revive it.
     arm_probe();
@@ -164,7 +157,7 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
     const SimDuration timeout =
         config_.use_markov ? fs.detector.on_arrival(now) : config_.single_timeout;
     arm_timer(pkt->flow, fs, timeout);
-  } else if (!fs.timer_armed) {
+  } else if (!net_.sim().pending(fs.timer)) {
     arm_timer(pkt->flow, fs,
               config_.use_markov ? fs.detector.current_timeout() : config_.single_timeout);
   }
@@ -451,21 +444,13 @@ void Receiver::give_up_stale(FlowId flow, FlowState& fs) {
 }
 
 void Receiver::arm_timer(FlowId flow, FlowState& fs, SimDuration timeout) {
-  if (fs.timer_armed) {
-    net_.sim().cancel(fs.timer);
-    fs.timer_armed = false;
-  }
-  const std::uint64_t gen = ++fs.timer_gen;
-  fs.timer_armed = true;
-  fs.timer = net_.sim().after(timeout, [this, flow, gen] { on_timer(flow, gen); });
+  net_.sim().cancel(fs.timer);
+  fs.timer = net_.sim().after(timeout, [this, flow] { on_timer(flow); });
 }
 
-void Receiver::on_timer(FlowId flow, std::uint64_t gen) {
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) return;
-  FlowState& fs = it->second;
-  if (!fs.timer_armed || fs.timer_gen != gen) return;
-  fs.timer_armed = false;
+void Receiver::on_timer(FlowId flow) {
+  // forget_flow cancels the timer, so a firing timer's flow is still here.
+  FlowState& fs = flows_.at(flow);
 
   const SimTime now = net_.sim().now();
   if (config_.failover.enabled && config_.failover.overlay_carries_data && overlay_up_ &&
@@ -549,11 +534,7 @@ void Receiver::declare_overlay_up() {
   if (overlay_up_) return;
   overlay_up_ = true;
   ++stats_.reengages;
-  if (probe_armed_) {
-    net_.sim().cancel(probe_timer_);
-    probe_armed_ = false;
-  }
-  ++probe_gen_;  // Invalidate any closure that raced the cancel.
+  net_.sim().cancel(probe_timer_);
   probe_backoff_ = 0;
   if (on_overlay_) on_overlay_(true, net_.sim().now());
 }
@@ -562,15 +543,12 @@ void Receiver::arm_probe() {
   probe_backoff_ = probe_backoff_ == 0
                        ? config_.failover.probe_base
                        : std::min(probe_backoff_ * 2, config_.failover.probe_cap);
-  const std::uint64_t gen = ++probe_gen_;
-  probe_armed_ = true;
-  probe_timer_ = net_.sim().after(probe_backoff_, [this, gen] { on_probe(gen); });
+  net_.sim().cancel(probe_timer_);
+  probe_timer_ = net_.sim().after(probe_backoff_, [this] { on_probe(); });
 }
 
-void Receiver::on_probe(std::uint64_t gen) {
-  if (!probe_armed_ || probe_gen_ != gen) return;
-  probe_armed_ = false;
-  if (overlay_up_) return;
+void Receiver::on_probe() {
+  // declare_overlay_up cancels the probe, so the overlay is still down here.
   send_probe();
   // Re-arm only while some flow is live: once the workload drains the probe
   // chain must stop, or Simulator::run() would never see an empty queue.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace jqos::net {
 
@@ -33,38 +34,24 @@ void EventLoop::remove_fd(int fd) {
   io_callbacks_.erase(fd);
 }
 
-TimerId EventLoop::add_timer(std::chrono::milliseconds delay, TimerCallback cb) {
-  const TimerId id = next_timer_++;
-  timers_.push(TimerEntry{Clock::now() + delay, id});
-  timer_callbacks_[id] = std::move(cb);
-  return id;
+SimTime EventLoop::now_us() const {
+  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start_).count();
 }
 
-void EventLoop::cancel_timer(TimerId id) { timer_callbacks_.erase(id); }
-
-void EventLoop::fire_due_timers() {
-  const auto now = Clock::now();
-  while (!timers_.empty() && timers_.top().due <= now) {
-    const TimerEntry entry = timers_.top();
-    timers_.pop();
-    auto it = timer_callbacks_.find(entry.id);
-    if (it == timer_callbacks_.end()) continue;  // Cancelled.
-    TimerCallback cb = std::move(it->second);
-    timer_callbacks_.erase(it);
-    cb();
-  }
+TimerId EventLoop::add_timer(std::chrono::milliseconds delay, netsim::EventFn cb) {
+  return timers_.push(
+      now_us() + std::chrono::duration_cast<std::chrono::microseconds>(delay).count(),
+      std::move(cb));
 }
 
 bool EventLoop::run_once(std::chrono::milliseconds max_wait) {
-  if (io_callbacks_.empty() && timer_callbacks_.empty()) return false;
+  if (io_callbacks_.empty() && timers_.empty()) return false;
 
   int wait_ms = static_cast<int>(max_wait.count());
-  // Trim the wait to the next live timer deadline.
-  while (!timers_.empty() && timer_callbacks_.count(timers_.top().id) == 0) timers_.pop();
   if (!timers_.empty()) {
-    const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
-        timers_.top().due - Clock::now());
-    wait_ms = std::clamp<int>(static_cast<int>(until.count()), 0, wait_ms);
+    // Trim the wait to the next live deadline.
+    const SimTime until_ms = (timers_.next_time() - now_us()) / 1000;
+    wait_ms = static_cast<int>(std::clamp<SimTime>(until_ms, 0, wait_ms));
   }
 
   std::array<epoll_event, 64> events{};
@@ -74,7 +61,7 @@ bool EventLoop::run_once(std::chrono::milliseconds max_wait) {
     auto it = io_callbacks_.find(events[static_cast<std::size_t>(i)].data.fd);
     if (it != io_callbacks_.end()) it->second(events[static_cast<std::size_t>(i)].events);
   }
-  fire_due_timers();
+  timers_.drain(now_us(), [](SimTime, netsim::EventFn&& fn) { fn(); });
   return true;
 }
 

@@ -1,24 +1,28 @@
-// A small epoll-based event loop with a timer heap: the live (non-simulated)
-// runtime's scheduler. One loop per thread; not thread-safe by design (the
-// paper's prototype runs one event loop per process, in user space).
+// A small epoll-based event loop: the live (non-simulated) runtime's
+// scheduler. One loop per thread; not thread-safe by design (the paper's
+// prototype runs one event loop per process, in user space).
+//
+// Timers live in a netsim::EventQueue keyed by microseconds since the loop
+// was built, so the live runtime and the simulator share one timer
+// mechanism: a TimerId is an EventId, cancel is O(1), cancelling a fired or
+// cancelled timer is a no-op, and equal deadlines fire in insertion order.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
-#include <vector>
+
+#include "netsim/event_queue.h"
 
 namespace jqos::net {
 
 using Clock = std::chrono::steady_clock;
-using TimerId = std::uint64_t;
+using TimerId = netsim::EventId;
 
 class EventLoop {
  public:
   using IoCallback = std::function<void(std::uint32_t epoll_events)>;
-  using TimerCallback = std::function<void()>;
 
   EventLoop();
   ~EventLoop();
@@ -30,8 +34,8 @@ class EventLoop {
   void add_fd(int fd, std::uint32_t events, IoCallback cb);
   void remove_fd(int fd);
 
-  TimerId add_timer(std::chrono::milliseconds delay, TimerCallback cb);
-  void cancel_timer(TimerId id);
+  TimerId add_timer(std::chrono::milliseconds delay, netsim::EventFn cb);
+  void cancel_timer(TimerId id) { timers_.cancel(id); }
 
   // Runs until stop() is called and no work remains.
   void run();
@@ -42,23 +46,14 @@ class EventLoop {
   bool run_once(std::chrono::milliseconds max_wait);
 
  private:
-  struct TimerEntry {
-    Clock::time_point due;
-    TimerId id;
-    bool operator>(const TimerEntry& rhs) const {
-      if (due != rhs.due) return due > rhs.due;
-      return id > rhs.id;
-    }
-  };
-
-  void fire_due_timers();
+  // Microseconds since construction: the timer queue's clock.
+  SimTime now_us() const;
 
   int epoll_fd_ = -1;
   bool stopped_ = false;
+  const Clock::time_point start_ = Clock::now();
   std::map<int, IoCallback> io_callbacks_;
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<TimerEntry>> timers_;
-  std::map<TimerId, TimerCallback> timer_callbacks_;
-  TimerId next_timer_ = 1;
+  netsim::EventQueue timers_;
 };
 
 }  // namespace jqos::net

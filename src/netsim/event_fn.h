@@ -7,7 +7,8 @@
 //
 //   - 32 bytes of inline storage: every hot-path closure in the tree fits
 //     (link delivery captures this + PacketPtr = 24 B, timers capture
-//     this + a generation = 16-24 B), so pushing an event never allocates.
+//     this + a key such as a flow id = 16-24 B), so pushing an event never
+//     allocates.
 //     Larger or not-nothrow-movable callables fall back to one heap
 //     allocation — correct for arbitrary callables, hit only on cold paths.
 //   - a trivial fast path: closures that are trivially copyable and

@@ -99,7 +99,7 @@ void EventQueue::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn.reset();
   s.seq = 0;
-  ++s.gen;
+  if (++s.gen == 0) s.gen = 1;  // Keep ids nonzero: 0 is kNoEvent.
   s.next_free = free_head_;
   free_head_ = slot;
   --live_;
@@ -127,15 +127,11 @@ EventId EventQueue::push(SimTime at, EventFn&& fn) {
 }
 
 void EventQueue::cancel(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  if (s.seq == 0 || s.gen != gen) return;  // Fired, cancelled, or stale id.
+  if (!pending(id)) return;  // Fired, cancelled, or stale id.
   // The ordering entry stays parked wherever it is; it is skipped (and its
   // memory reclaimed) when its bucket is next touched.
   ++version_;
-  free_slot(slot);
+  free_slot(static_cast<std::uint32_t>(id & 0xffffffffu));
 }
 
 void EventQueue::heap_prune() {

@@ -50,6 +50,9 @@ namespace jqos::netsim {
 
 using EventId = std::uint64_t;
 
+// Never handed out by push(): a safe "unarmed" value for cancel and pending.
+inline constexpr EventId kNoEvent = 0;
+
 enum class EvqBackend {
   kHeap,
   kLadder,
@@ -76,6 +79,14 @@ class EventQueue {
   // Lazily cancels a pending event and frees its slot. Cancelling an
   // already-fired, already-cancelled, or unknown id is a no-op.
   void cancel(EventId id);
+
+  // True iff `id` is queued and has not fired or been cancelled. False
+  // inside the event's own callback: its slot is freed before it runs.
+  bool pending(EventId id) const {
+    const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
+    return slot < slots_.size() && slots_[slot].seq != 0 &&
+           slots_[slot].gen == static_cast<std::uint32_t>(id >> 32);
+  }
 
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
@@ -175,7 +186,7 @@ class EventQueue {
   struct alignas(64) Slot {
     EventFn fn;
     std::uint64_t seq = 0;       // Sequence of the current occupant; 0 when free.
-    std::uint32_t gen = 0;       // Bumped on each free; embedded in EventId.
+    std::uint32_t gen = 1;       // Bumped on each free (never 0); in EventId.
     std::uint32_t next_free = 0; // Intrusive freelist link (valid when free).
   };
   static_assert(sizeof(Slot) == 64, "one cache line per event slot");

@@ -72,17 +72,14 @@ class Link {
   Link& operator=(const Link&) = delete;
 
   // Offers a packet to the link; if it survives the loss process and the
-  // queue discipline it is delivered to `deliver` after serialization +
-  // queueing + propagation.
+  // queue discipline it is delivered to the set_deliver() sink after
+  // serialization + queueing + propagation.
   // By-value: a caller sending a temporary (the common fabric path) moves
   // the PacketPtr all the way into the scheduled event, so the hot path
-  // never touches the shared_ptr refcount.
-  void send(PacketPtr pkt, DeliverFn deliver);
-
-  // Hot-path variant: delivers to the sink registered with set_deliver().
-  // Network registers its node-dispatch sink once per link so the per-packet
-  // path schedules a small (this, pkt) closure instead of copying a
-  // std::function into every event.
+  // never touches the shared_ptr refcount. Network registers its
+  // node-dispatch sink once per link, so the per-packet path schedules a
+  // small (this, pkt) closure instead of copying a std::function into
+  // every event.
   void send(PacketPtr pkt);
   void set_deliver(DeliverFn deliver) { deliver_ = std::move(deliver); }
 
@@ -130,7 +127,7 @@ class Link {
   // every finite-bandwidth link, hence a ring rather than a deque.
   FifoRing<std::pair<SimTime, std::uint32_t>> backlog_;
   std::size_t backlog_bytes_ = 0;
-  // Registered delivery sink for the zero-argument send().
+  // Registered delivery sink for send().
   DeliverFn deliver_;
   LinkStats stats_;
   // Fault-layer state; see set_fault_down()/set_degraded().

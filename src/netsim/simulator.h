@@ -40,6 +40,9 @@ class Simulator {
   // O(1); cancelling a fired, cancelled, or unknown id is a no-op.
   void cancel(EventId id) { queue_.cancel(id); }
 
+  // True iff `id` is queued and has not fired or been cancelled.
+  bool pending(EventId id) const { return queue_.pending(id); }
+
   // Runs events until the queue is empty.
   void run();
 

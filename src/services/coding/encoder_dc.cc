@@ -41,7 +41,7 @@ void CodingEncoderService::enqueue_in_stream(const PacketPtr& pkt) {
     const FlowInfo* info = registry_->find(pkt->flow);
     ++stats_.in_batches;
     encode_queue(q, params_.in_coded, PacketType::kInCoded, info->dc2);
-  } else if (!q.timer_armed) {
+  } else if (!dc_.network().sim().pending(q.timer)) {
     arm_timer_in(pkt->flow);
   }
 }
@@ -89,7 +89,7 @@ void CodingEncoderService::enqueue_cross_stream(const PacketPtr& pkt, NodeId dc2
   if (q.pkts.size() >= effective_k) {
     ++stats_.cross_batches;
     encode_queue(q, params_.cross_coded, PacketType::kCrossCoded, dc2);  // Lines 21-23.
-  } else if (!q.timer_armed) {
+  } else if (!dc_.network().sim().pending(q.timer)) {
     arm_timer_cross(dc2, idx);
   }
 }
@@ -153,48 +153,35 @@ void CodingEncoderService::encode_queue(Queue& q, std::size_t coded, PacketType 
   disarm(q);
 }
 
+// Every path that empties or erases a queue disarms it first, so a firing
+// queue timer always finds its queue present and non-empty.
 void CodingEncoderService::arm_timer_in(FlowId flow) {
   Queue& q = in_qs_[flow];
-  q.timer_armed = true;
-  const std::uint64_t gen = ++q.generation;
-  q.timer = dc_.network().sim().after(params_.queue_timeout, [this, flow, gen] {
-    auto it = in_qs_.find(flow);
-    if (it == in_qs_.end() || it->second.generation != gen || it->second.pkts.empty()) return;
+  disarm(q);
+  q.timer = dc_.network().sim().after(params_.queue_timeout, [this, flow] {
+    Queue& queue = in_qs_.at(flow);
     const FlowInfo* info = registry_->find(flow);
     if (info == nullptr) {
-      it->second.pkts.clear();
+      queue.pkts.clear();
       return;
     }
     ++stats_.timer_flushes;
     ++stats_.in_batches;
-    it->second.timer_armed = false;
-    encode_queue(it->second, params_.in_coded, PacketType::kInCoded, info->dc2);
+    encode_queue(queue, params_.in_coded, PacketType::kInCoded, info->dc2);
   });
 }
 
 void CodingEncoderService::arm_timer_cross(NodeId dc2, std::size_t index) {
-  Queue& q = cross_qs_[dc2][index];
-  q.timer_armed = true;
-  const std::uint64_t gen = ++q.generation;
-  q.timer = dc_.network().sim().after(params_.queue_timeout, [this, dc2, index, gen] {
-    auto it = cross_qs_.find(dc2);
-    if (it == cross_qs_.end() || index >= it->second.size()) return;
-    Queue& queue = it->second[index];
-    if (queue.generation != gen || queue.pkts.empty()) return;
+  Queue& q = cross_qs_.at(dc2)[index];
+  disarm(q);
+  q.timer = dc_.network().sim().after(params_.queue_timeout, [this, dc2, index] {
     ++stats_.timer_flushes;
     ++stats_.cross_batches;
-    queue.timer_armed = false;
-    encode_queue(queue, params_.cross_coded, PacketType::kCrossCoded, dc2);
+    encode_queue(cross_qs_.at(dc2)[index], params_.cross_coded, PacketType::kCrossCoded, dc2);
   });
 }
 
-void CodingEncoderService::disarm(Queue& q) {
-  if (q.timer_armed) {
-    dc_.network().sim().cancel(q.timer);
-    q.timer_armed = false;
-  }
-  ++q.generation;  // Invalidate any in-flight timer closure.
-}
+void CodingEncoderService::disarm(Queue& q) { dc_.network().sim().cancel(q.timer); }
 
 bool CodingEncoderService::queue_contains_flow(const Queue& q, FlowId flow) const {
   return std::any_of(q.pkts.begin(), q.pkts.end(),
@@ -228,8 +215,8 @@ void CodingEncoderService::flow_departed(FlowId flow, NodeId dc2) {
 
 void CodingEncoderService::on_dc_crash() {
   ++stats_.crash_wipes;
-  // Everything staged in process memory is gone. disarm() bumps each
-  // queue's generation so timers armed before the crash are no-ops.
+  // Everything staged in process memory is gone, and so are the queue
+  // timers: disarm() cancels each one before its queue is erased.
   for (auto& [flow, q] : in_qs_) disarm(q);
   in_qs_.clear();
   for (auto& [dc2, queues] : cross_qs_) {
@@ -260,6 +247,7 @@ void CodingEncoderService::flush_all() {
     const FlowInfo* info = registry_->find(flow);
     if (info == nullptr) {
       q.pkts.clear();
+      disarm(q);
       continue;
     }
     ++stats_.in_batches;

@@ -114,9 +114,7 @@ class CodingEncoderService final : public overlay::DcService {
  private:
   struct Queue {
     std::vector<PacketPtr> pkts;
-    netsim::EventId timer = 0;
-    bool timer_armed = false;
-    std::uint64_t generation = 0;  // Guards against stale timer firings.
+    netsim::EventId timer = netsim::kNoEvent;  // Armed iff sim().pending(timer).
   };
 
   void enqueue_in_stream(const PacketPtr& pkt);

@@ -312,8 +312,7 @@ void RecoveryService::finish_op_failure(std::uint32_t batch_id, std::uint64_t ep
 }
 
 void RecoveryService::arm_sweep() {
-  if (sweep_armed_) return;
-  sweep_armed_ = true;
+  if (dc_.network().sim().pending(sweep_event_)) return;
   // Fire at the NEXT whole simulated second. Aligning sweeps to an absolute
   // grid (rather than "one second after whatever arrived first") keeps
   // reclamation timing -- and the batches_expired counter -- a pure function
@@ -326,7 +325,6 @@ void RecoveryService::arm_sweep() {
       ++stats_.stale_timers;
       return;
     }
-    sweep_armed_ = false;
     sweep_batches();
     if (!batches_.empty() || !pending_.empty()) arm_sweep();
   });
@@ -340,10 +338,7 @@ void RecoveryService::on_dc_crash() {
   batches_.clear();
   key_index_.clear();
   pending_.clear();
-  if (sweep_armed_) {
-    dc_.network().sim().cancel(sweep_event_);
-    sweep_armed_ = false;
-  }
+  dc_.network().sim().cancel(sweep_event_);
 }
 
 void RecoveryService::sweep_batches() {

@@ -137,7 +137,7 @@ class RecoveryService final : public overlay::DcService {
     std::map<std::size_t, std::vector<std::uint8_t>> responses;
     // missing key -> receiver that asked for it.
     std::map<PacketKey, NodeId> requesters;
-    netsim::EventId deadline_event = 0;
+    netsim::EventId deadline_event = netsim::kNoEvent;
     SimTime started_at = 0;
   };
 
@@ -165,7 +165,8 @@ class RecoveryService final : public overlay::DcService {
   void maybe_finish_op(CoopOp& op);
   // Deadline callback. `epoch` is the service epoch the timer was armed in;
   // a timer scheduled before a crash wipe finds epoch != epoch_ and is a
-  // counted no-op (the Receiver::forget_flow generation-guard pattern).
+  // counted no-op. on_dc_crash also cancels every deadline; the epoch is the
+  // crash-wipe guard docs/FAULTS.md documents and tests/fault_test.cc pins.
   void finish_op_failure(std::uint32_t batch_id, std::uint64_t epoch);
 
   // Reclaims expired batches / pending NACKs. Freshness is enforced lazily
@@ -195,8 +196,7 @@ class RecoveryService final : public overlay::DcService {
   std::unordered_map<PacketKey, std::vector<std::uint32_t>> key_index_;
   std::unordered_map<std::uint32_t, CoopOp> ops_;
   std::unordered_map<PacketKey, PendingNack> pending_;
-  bool sweep_armed_ = false;
-  netsim::EventId sweep_event_ = 0;
+  netsim::EventId sweep_event_ = netsim::kNoEvent;  // Armed iff pending.
   // Bumped on every crash wipe; every deadline timer carries the epoch it
   // was armed in so stale ones are no-ops.
   std::uint64_t epoch_ = 0;

@@ -162,6 +162,28 @@ TEST(Encoder, TimerFlushesPartialBatches) {
   EXPECT_TRUE(found_partial_cross);
 }
 
+TEST(Encoder, CrashCancelsArmedQueueTimers) {
+  Fixture f(small_params());
+  f.register_flows(1);
+  // One partial in-stream queue and two partial cross-stream queues (round
+  // robin): three queue timers armed, nothing encoded yet.
+  f.offer(1, 0);
+  f.offer(1, 1);
+  EXPECT_EQ(f.sim.queue().size(), 3u);
+  f.encoder->on_dc_crash();
+  EXPECT_TRUE(f.sim.idle());  // Every queue timer went with its queue.
+  f.sim.run_until(msec(200));  // Far past queue_timeout.
+  EXPECT_TRUE(f.collector->coded.empty());
+  EXPECT_EQ(f.encoder->stats().timer_flushes, 0u);
+  EXPECT_EQ(f.encoder->stats().crash_wipes, 1u);
+
+  // The restarted encoder arms fresh timers, which flush as usual.
+  f.offer(1, 2);
+  f.sim.run_until(msec(400));
+  EXPECT_GT(f.encoder->stats().timer_flushes, 0u);
+  EXPECT_FALSE(f.collector->coded.empty());
+}
+
 TEST(Encoder, UnregisteredFlowCountedAndConsumed) {
   Fixture f(small_params());
   f.offer(42, 0);  // Never registered.

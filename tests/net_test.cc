@@ -51,6 +51,29 @@ TEST(EventLoop, TimersFireInOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+TEST(EventLoop, EqualDeadlinesFireInInsertionOrder) {
+  EventLoop loop;
+  std::vector<int> order;
+  // Timers added back to back share their deadline tick; ties must fire in
+  // insertion order, not in whatever order the queue happens to hold them.
+  for (int i = 0; i < 64; ++i) loop.add_timer(10ms, [&order, i] { order.push_back(i); });
+  pump(loop, 60ms);
+  ASSERT_EQ(order.size(), 64u);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(EventLoop, RunOnceFalseWhenOnlyCancelledTimersRemain) {
+  EventLoop loop;
+  bool fired = false;
+  const TimerId a = loop.add_timer(10ms, [&] { fired = true; });
+  const TimerId b = loop.add_timer(20ms, [&] { fired = true; });
+  loop.cancel_timer(b);
+  loop.cancel_timer(a);
+  loop.cancel_timer(a);  // Cancelling twice is a no-op.
+  EXPECT_FALSE(loop.run_once(50ms));
+  EXPECT_FALSE(fired);
+}
+
 TEST(UdpSocket, LoopbackDatagramRoundTrip) {
   UdpSocket a, b;
   ASSERT_NE(a.local_endpoint().port, 0);

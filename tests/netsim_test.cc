@@ -61,6 +61,47 @@ TEST(EventQueue, CancelOfFiredIdIsNoOpEvenAfterSlotReuse) {
   }
 }
 
+TEST(EventQueue, PendingFollowsEventLifecycle) {
+  for (EvqBackend b : kBackends) {
+    EventQueue q(b);
+    EXPECT_FALSE(q.pending(kNoEvent)) << evq_backend_name(b);
+
+    const EventId fired = q.push(10, [] {});
+    EXPECT_TRUE(q.pending(fired)) << evq_backend_name(b);
+    q.pop().fn();
+    EXPECT_FALSE(q.pending(fired)) << evq_backend_name(b);
+
+    // The stale id's slot is reused by the next push; only the new id is live.
+    const EventId reused = q.push(20, [] {});
+    EXPECT_FALSE(q.pending(fired)) << evq_backend_name(b);
+    EXPECT_TRUE(q.pending(reused)) << evq_backend_name(b);
+    q.cancel(reused);
+    EXPECT_FALSE(q.pending(reused)) << evq_backend_name(b);
+
+    // Inside its own callback an event is no longer pending.
+    EventId self = kNoEvent;
+    bool pending_inside = true;
+    self = q.push(30, [&] { pending_inside = q.pending(self); });
+    EXPECT_EQ(q.drain(30, [](SimTime, EventFn&& fn) { fn(); }), 1u) << evq_backend_name(b);
+    EXPECT_FALSE(pending_inside) << evq_backend_name(b);
+    EXPECT_FALSE(q.pending(self)) << evq_backend_name(b);
+  }
+}
+
+TEST(EventQueue, NoEventNeverAliasesALiveEvent) {
+  for (EvqBackend b : kBackends) {
+    EventQueue q(b);
+    int fired = 0;
+    const EventId first = q.push(10, [&] { ++fired; });
+    EXPECT_NE(first, kNoEvent) << evq_backend_name(b);
+    q.cancel(kNoEvent);
+    EXPECT_TRUE(q.pending(first)) << evq_backend_name(b);
+    EXPECT_EQ(q.size(), 1u) << evq_backend_name(b);
+    while (!q.empty()) q.pop().fn();
+    EXPECT_EQ(fired, 1) << evq_backend_name(b);
+  }
+}
+
 TEST(EventQueue, DrainPicksUpEventsPushedAndCancelledMidBatch) {
   for (EvqBackend b : kBackends) {
     EventQueue q(b);
@@ -314,8 +355,8 @@ TEST(Link, DeliversWithLatency) {
   PacketPool pool;
   Link link(sim, pool, 1, 2, make_fixed_latency(msec(10)), make_no_loss());
   SimTime delivered_at = -1;
-  link.send(make_data_packet(pool, 1, 0, 1, 2, sim.now(), 100),
-            [&](const PacketPtr&) { delivered_at = sim.now(); });
+  link.set_deliver([&](const PacketPtr&) { delivered_at = sim.now(); });
+  link.send(make_data_packet(pool, 1, 0, 1, 2, sim.now(), 100));
   sim.run();
   EXPECT_EQ(delivered_at, msec(10));
   EXPECT_EQ(link.stats().delivered_packets, 1u);
@@ -327,7 +368,8 @@ TEST(Link, LossCountsAndSuppressesDelivery) {
   Link link(sim, pool, 1, 2, make_fixed_latency(msec(1)),
             make_bernoulli_loss(1.0, Rng(1)));
   int delivered = 0;
-  link.send(make_data_packet(pool, 1, 0, 1, 2, 0, 10), [&](const PacketPtr&) { ++delivered; });
+  link.set_deliver([&](const PacketPtr&) { ++delivered; });
+  link.send(make_data_packet(pool, 1, 0, 1, 2, 0, 10));
   sim.run();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(link.stats().dropped_packets, 1u);
@@ -340,11 +382,12 @@ TEST(Link, BandwidthSerializesFifo) {
   // 8 kbit/s: a 100-byte packet (800 bits) takes 100 ms to serialize.
   Link link(sim, pool, 1, 2, make_fixed_latency(0), make_no_loss(), 8000.0);
   std::vector<SimTime> arrivals;
+  link.set_deliver([&](const PacketPtr&) { arrivals.push_back(sim.now()); });
   for (int i = 0; i < 3; ++i) {
     auto p = std::make_shared<Packet>();
     p->dst = 2;
     p->payload.assign(100 - packet_header_bytes(), 0);
-    link.send(p, [&](const PacketPtr&) { arrivals.push_back(sim.now()); });
+    link.send(p);
   }
   sim.run();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -362,9 +405,9 @@ TEST(Link, PreserveOrderPreventsReordering) {
   PacketPool pool;
   Link link(sim, pool, 1, 2, make_jitter_latency(p, Rng(6)), make_no_loss());
   std::vector<SeqNo> arrivals;
+  link.set_deliver([&arrivals](const PacketPtr& pkt) { arrivals.push_back(pkt->seq); });
   for (SeqNo s = 0; s < 200; ++s) {
-    link.send(make_data_packet(pool, 1, s, 1, 2, sim.now(), 10),
-              [&arrivals](const PacketPtr& pkt) { arrivals.push_back(pkt->seq); });
+    link.send(make_data_packet(pool, 1, s, 1, 2, sim.now(), 10));
   }
   sim.run();
   ASSERT_EQ(arrivals.size(), 200u);

@@ -264,6 +264,34 @@ TEST(Receiver, TailLossDetectedByShortTimer) {
   EXPECT_GE(f.receiver->stats().tail_nacks_sent, 1u);
 }
 
+TEST(Receiver, ReexpectedFlowRunsOnlyTheNewStatesTimer) {
+  ReceiverConfig config;
+  config.rtt_estimate = msec(100);
+  config.markov.adaptive = false;
+  config.markov.small_timeout = msec(25);
+  Fixture f(config);
+  // A burst arms the short timer (due at 45 ms) on the first FlowState.
+  f.arrive(0);
+  f.sim.run_until(msec(10));
+  f.arrive(1);
+  f.sim.run_until(msec(20));
+  f.arrive(2);
+  f.sim.run_until(msec(30));
+  // Tear the flow down and re-register the same id: the fresh state starts
+  // in LONG (100 ms, due at 130 ms) with nothing delivered yet.
+  f.receiver->forget_flow(1);
+  f.receiver->expect_flow(1);
+  f.sim.run_until(msec(125));
+  EXPECT_EQ(f.receiver->stats().nacks_sent, 0u);  // The old timer never acted.
+  f.sim.run_until(msec(140));
+  auto nacks = f.dc.of_type(PacketType::kNack);
+  ASSERT_EQ(nacks.size(), 1u);
+  auto info = NackInfo::parse(nacks[0]->payload);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_TRUE(info->tail);
+  EXPECT_EQ(info->expected, 0u);  // The new state's frontier, not the old 3.
+}
+
 TEST(Receiver, GiveUpDeclaresLossAfterWindow) {
   ReceiverConfig config;
   config.rtt_estimate = msec(100);
