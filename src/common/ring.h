@@ -27,6 +27,11 @@ class FifoRing {
     slots_[(head_ + size_) & (slots_.size() - 1)] = v;
     ++size_;
   }
+  // Drops every element; keeps the storage.
+  void clear() {
+    head_ = 0;
+    size_ = 0;
+  }
 
  private:
   // Re-linearizes on growth so head_ starts at 0 in the new storage.

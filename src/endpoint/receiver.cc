@@ -95,6 +95,7 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   const SimTime now = net_.sim().now();
   const SeqNo seq = pkt->seq;
 
+  const SeqNo old_horizon = fs.evidence_horizon;
   if (seq >= fs.evidence_horizon) fs.evidence_horizon = seq + 1;
   auto miss = fs.missing.find(seq);
   if (miss != fs.missing.end()) {
@@ -131,8 +132,12 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
     return;
   } else {
     if (seq > fs.next_expected) {
-      // Gap: everything in [next_expected, seq) is missing as of now.
-      note_missing(fs, pkt->flow, fs.next_expected, seq);
+      // Gap: everything in [next_expected, seq) is missing as of now. Below
+      // the old evidence horizon every seq is already missing or arrived
+      // (give-up turns a hole there into arrived_ahead[seq] = false); only
+      // holes at or above it are ever dropped silently, so the walk starts
+      // there.
+      note_missing(fs, pkt->flow, std::max(fs.next_expected, old_horizon), seq);
       fs.arrived_ahead[seq] = recovered;
     } else {
       // In-order fast path (see above): no arrived_ahead churn.

@@ -40,17 +40,21 @@ bool RecoveryService::handle(overlay::DataCenter& dc, const PacketPtr& pkt) {
 void RecoveryService::on_coded(const PacketPtr& pkt) {
   if (!pkt->meta) return;
   const std::uint32_t batch_id = pkt->meta->batch_id;
-  BatchState& batch = batches_[batch_id];
-  if (batch.coded.empty()) {
-    batch.meta = *pkt->meta;
-    batch.first_seen = dc_.now();
-    batch.is_cross = pkt->type == PacketType::kCrossCoded;
-    ++stats_.batches_stored;
-    for (const PacketKey& key : batch.meta.covered) {
-      key_index_[key].push_back(batch_id);
+  auto [slot_of_id, inserted] = batch_slot_.try_emplace(batch_id);
+  if (inserted) {
+    if (free_slots_.empty()) {
+      free_slots_.push_back(static_cast<std::uint32_t>(records_.size()));
+      records_.emplace_back();
     }
+    *slot_of_id = free_slots_.back();
+    free_slots_.pop_back();
+    BatchState& fresh = records_[*slot_of_id];
+    fresh.first_seen = dc_.now();
+    store_order_.push_back(*slot_of_id);
+    ++stats_.batches_stored;
+    for (const PacketKey& key : pkt->meta->covered) index_add(key, *slot_of_id);
   }
-  batch.coded.push_back(pkt);
+  records_[*slot_of_id].coded.push_back(pkt);
   arm_sweep();
 
   // A coded packet may unblock recoveries waiting on it. The pending NACK
@@ -96,22 +100,11 @@ void RecoveryService::on_nack(const PacketPtr& pkt, bool confirm) {
     for (SeqNo s = info.expected;
          batches_used < params_.max_tail_batches && uncovered_run < 64; ++s) {
       const PacketKey key{pkt->flow, s};
-      auto kit = key_index_.find(key);
-      if (kit == key_index_.end()) {
-        ++uncovered_run;
-        continue;
-      }
       // Skip batches so fresh their direct copies may still be in flight.
-      bool old_enough = false;
-      for (std::uint32_t id : kit->second) {
-        auto bit = batches_.find(id);
-        if (bit != batches_.end() && batch_fresh(bit->second) &&
-            dc_.now() - bit->second.first_seen >= params_.tail_min_batch_age) {
-          old_enough = true;
-          break;
-        }
-      }
-      if (!old_enough) {
+      const BatchState* old_enough = first_batch(key, [this](const BatchState& b) {
+        return batch_fresh(b) && dc_.now() - b.first_seen >= params_.tail_min_batch_age;
+      });
+      if (old_enough == nullptr) {
         ++uncovered_run;
         continue;
       }
@@ -162,28 +155,64 @@ bool RecoveryService::recover_key(const PacketKey& key, NodeId receiver, bool pr
   return false;
 }
 
-RecoveryService::BatchState* RecoveryService::cross_batch_for(const PacketKey& key) {
-  auto it = key_index_.find(key);
-  if (it == key_index_.end()) return nullptr;
-  for (std::uint32_t id : it->second) {
-    auto bit = batches_.find(id);
-    if (bit != batches_.end() && bit->second.is_cross && batch_fresh(bit->second)) {
-      return &bit->second;
-    }
+template <typename Pred>
+RecoveryService::BatchState* RecoveryService::first_batch(const PacketKey& key, Pred pred) {
+  const KeyBatches* kb = batches_by_key_.find(key);
+  if (kb == nullptr) return nullptr;
+  for (std::uint32_t i = 0; i < kb->count && i < 2; ++i) {
+    if (pred(records_[kb->slots[i]])) return &records_[kb->slots[i]];
+  }
+  if (kb->count <= 2) return nullptr;
+  for (std::uint32_t slot : overflow_.at(key)) {
+    if (pred(records_[slot])) return &records_[slot];
   }
   return nullptr;
 }
 
+RecoveryService::BatchState* RecoveryService::cross_batch_for(const PacketKey& key) {
+  return first_batch(key, [this](const BatchState& b) { return b.is_cross() && batch_fresh(b); });
+}
+
 RecoveryService::BatchState* RecoveryService::in_batch_for(const PacketKey& key) {
-  auto it = key_index_.find(key);
-  if (it == key_index_.end()) return nullptr;
-  for (std::uint32_t id : it->second) {
-    auto bit = batches_.find(id);
-    if (bit != batches_.end() && !bit->second.is_cross && batch_fresh(bit->second)) {
-      return &bit->second;
-    }
+  return first_batch(key, [this](const BatchState& b) { return !b.is_cross() && batch_fresh(b); });
+}
+
+RecoveryService::BatchState* RecoveryService::find_batch(std::uint32_t batch_id) {
+  const std::uint32_t* slot = batch_slot_.find(batch_id);
+  return slot == nullptr ? nullptr : &records_[*slot];
+}
+
+void RecoveryService::index_add(const PacketKey& key, std::uint32_t slot) {
+  KeyBatches& kb = *batches_by_key_.try_emplace(key).first;
+  if (kb.count < 2) {
+    kb.slots[kb.count] = slot;
+  } else {
+    overflow_[key].push_back(slot);
   }
-  return nullptr;
+  ++kb.count;
+}
+
+// Called once per index_add of the same (key, slot): expire walks the same
+// covered list on_coded indexed, so a key a malformed meta repeats is
+// listed, and removed, once per repetition.
+void RecoveryService::index_remove(const PacketKey& key, std::uint32_t slot) {
+  KeyBatches& kb = *batches_by_key_.find(key);
+  if (kb.count > 2) {
+    auto more = overflow_.find(key);
+    std::vector<std::uint32_t>& later = more->second;
+    if (kb.slots[0] == slot || kb.slots[1] == slot) {
+      // Keep store order: refill the inline pair from the overflow's front.
+      if (kb.slots[0] == slot) kb.slots[0] = kb.slots[1];
+      kb.slots[1] = later.front();
+      later.erase(later.begin());
+    } else {
+      later.erase(std::find(later.begin(), later.end(), slot));
+    }
+    if (later.empty()) overflow_.erase(more);
+  } else if (kb.slots[0] == slot) {
+    kb.slots[0] = kb.slots[1];
+  }
+  if (--kb.count == 0) batches_by_key_.erase(key);
 }
 
 bool RecoveryService::serve_in_stream(const PacketKey& key, NodeId receiver) {
@@ -204,7 +233,8 @@ bool RecoveryService::serve_in_stream(const PacketKey& key, NodeId receiver) {
 bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
   BatchState* batch = cross_batch_for(key);
   if (batch == nullptr) return false;
-  const std::uint32_t batch_id = batch->meta.batch_id;
+  const CodedMeta& meta = batch->meta();
+  const std::uint32_t batch_id = meta.batch_id;
 
   auto [it, inserted] = ops_.try_emplace(batch_id);
   CoopOp& op = it->second;
@@ -217,7 +247,7 @@ bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
 
   // Solicit every *other* receiver in the batch for its data packet. The
   // requester's own packet is the one being recovered, so it is skipped.
-  for (const PacketKey& covered : batch->meta.covered) {
+  for (const PacketKey& covered : meta.covered) {
     if (covered == key) continue;
     const FlowInfo* info = registry_->find(covered.flow);
     if (info == nullptr || info->receiver == kInvalidNode) continue;
@@ -227,8 +257,8 @@ bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
     // Carry only the batch id; responses echo it back.
     dc_.network().pool().engage_meta(*req);
     req->meta->batch_id = batch_id;
-    req->meta->k = batch->meta.k;
-    req->meta->r = batch->meta.r;
+    req->meta->k = meta.k;
+    req->meta->r = meta.r;
     ++stats_.coop_requests_sent;
     dc_.send(req);
   }
@@ -250,9 +280,9 @@ void RecoveryService::on_coop_response(const PacketPtr& pkt) {
     return;
   }
   CoopOp& op = it->second;
-  auto bit = batches_.find(op.batch_id);
-  if (bit == batches_.end()) return;
-  const CodedMeta& meta = bit->second.meta;
+  const BatchState* batch = find_batch(op.batch_id);
+  if (batch == nullptr) return;
+  const CodedMeta& meta = batch->meta();
   // Locate the codeword position of the responding packet.
   const PacketKey key = pkt->key();
   for (std::size_t pos = 0; pos < meta.covered.size(); ++pos) {
@@ -266,11 +296,10 @@ void RecoveryService::on_coop_response(const PacketPtr& pkt) {
 }
 
 void RecoveryService::maybe_finish_op(CoopOp& op) {
-  auto bit = batches_.find(op.batch_id);
-  if (bit == batches_.end()) return;
-  BatchState& batch = bit->second;
-  const std::size_t k = batch.meta.k;
-  if (op.responses.size() + batch.coded.size() < k) return;  // Not yet decodable.
+  const BatchState* batch = find_batch(op.batch_id);
+  if (batch == nullptr) return;
+  const CodedMeta& meta = batch->meta();
+  if (op.responses.size() + batch->coded.size() < meta.k) return;  // Not yet decodable.
 
   auto& present = present_scratch_;
   present.clear();
@@ -278,7 +307,7 @@ void RecoveryService::maybe_finish_op(CoopOp& op) {
   for (const auto& [pos, payload] : op.responses) {
     present.emplace_back(pos, std::span<const std::uint8_t>(payload));
   }
-  auto recovered = fec::decode_batch(decode_arena_, batch.meta, present, batch.coded);
+  auto recovered = fec::decode_batch(decode_arena_, meta, present, batch->coded);
   if (!recovered) return;  // Still insufficient (duplicate positions etc).
 
   ++stats_.coop_success;
@@ -326,7 +355,7 @@ void RecoveryService::arm_sweep() {
       return;
     }
     sweep_batches();
-    if (!batches_.empty() || !pending_.empty()) arm_sweep();
+    if (batches_held() != 0 || !pending_.empty()) arm_sweep();
   });
 }
 
@@ -335,27 +364,34 @@ void RecoveryService::on_dc_crash() {
   ++epoch_;  // Every timer armed before this instant is now stale.
   for (auto& [id, op] : ops_) dc_.network().sim().cancel(op.deadline_event);
   ops_.clear();
-  batches_.clear();
-  key_index_.clear();
+  records_.clear();
+  free_slots_.clear();
+  batch_slot_.clear();
+  store_order_.clear();
+  pinned_.clear();
+  batches_by_key_.clear();
+  overflow_.clear();
   pending_.clear();
   dc_.network().sim().cancel(sweep_event_);
 }
 
 void RecoveryService::sweep_batches() {
   const SimTime cutoff = dc_.now() - params_.batch_ttl;
-  for (auto it = batches_.begin(); it != batches_.end();) {
-    if (it->second.first_seen < cutoff && ops_.find(it->first) == ops_.end()) {
-      for (const PacketKey& key : it->second.meta.covered) {
-        auto kit = key_index_.find(key);
-        if (kit != key_index_.end()) {
-          std::erase(kit->second, it->first);
-          if (kit->second.empty()) key_index_.erase(kit);
-        }
-      }
-      ++stats_.batches_expired;
-      it = batches_.erase(it);
+  auto in_coop = [this](std::uint32_t slot) {
+    return ops_.contains(records_[slot].meta().batch_id);
+  };
+  std::erase_if(pinned_, [&](std::uint32_t slot) {
+    if (in_coop(slot)) return false;
+    expire(slot);
+    return true;
+  });
+  while (!store_order_.empty() && records_[store_order_.front()].first_seen < cutoff) {
+    const std::uint32_t slot = store_order_.front();
+    store_order_.pop_front();
+    if (in_coop(slot)) {
+      pinned_.push_back(slot);
     } else {
-      ++it;
+      expire(slot);
     }
   }
   for (auto it = pending_.begin(); it != pending_.end();) {
@@ -365,6 +401,16 @@ void RecoveryService::sweep_batches() {
       ++it;
     }
   }
+}
+
+void RecoveryService::expire(std::uint32_t slot) {
+  BatchState& batch = records_[slot];
+  const CodedMeta& meta = batch.meta();
+  for (const PacketKey& key : meta.covered) index_remove(key, slot);
+  batch_slot_.erase(meta.batch_id);
+  batch.coded.clear();  // Releases the packets, keeps the capacity.
+  free_slots_.push_back(slot);
+  ++stats_.batches_expired;
 }
 
 }  // namespace jqos::services

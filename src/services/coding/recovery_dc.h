@@ -25,6 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
+#include "common/ring.h"
 #include "fec/coded_batch.h"
 #include "overlay/datacenter.h"
 #include "services/coding/coding_plan.h"
@@ -112,7 +114,7 @@ class RecoveryService final : public overlay::DcService {
   const RecoveryStatsDc& stats() const { return stats_; }
 
   // Number of coded batches currently held.
-  std::size_t batches_held() const { return batches_.size(); }
+  std::size_t batches_held() const { return batch_slot_.size(); }
 
   // Test hook (stale-timer regression): invokes the coop-deadline callback
   // exactly as a timer armed in epoch `epoch` would -- a stale epoch must be
@@ -123,11 +125,24 @@ class RecoveryService final : public overlay::DcService {
   std::uint64_t epoch() const { return epoch_; }
 
  private:
+  // One stored batch, in a record slot recycled across batches: clearing
+  // `coded` keeps its capacity, so a steady store/expire cycle allocates
+  // nothing.
   struct BatchState {
-    CodedMeta meta;
-    std::vector<PacketPtr> coded;
+    std::vector<PacketPtr> coded;  // Never empty while the batch is held.
     SimTime first_seen = 0;
-    bool is_cross = false;
+    // Every coded packet of a batch carries the same type and meta; read the
+    // first.
+    bool is_cross() const { return coded.front()->type == PacketType::kCrossCoded; }
+    const CodedMeta& meta() const { return *coded.front()->meta; }
+  };
+
+  // The batches covering one key, as record slots in store order: the first
+  // two inline (one in-stream and one cross-stream batch is the usual case),
+  // any later ones in overflow_.
+  struct KeyBatches {
+    std::uint32_t slots[2] = {0, 0};
+    std::uint32_t count = 0;
   };
 
   // One cooperative recovery operation per cross-stream batch.
@@ -177,7 +192,14 @@ class RecoveryService final : public overlay::DcService {
   // function of store times, not of which flow's packet happened to arrive
   // first -- the property the sharded runner's merge-determinism relies on
   // when unrelated path groups share one recovery DC.
+  //
+  // Batches are stored in time order, so the sweep pops expired ones off
+  // the front of store_order_ and never visits a live one. An expired batch
+  // a live coop op still decodes from moves to pinned_ instead of blocking
+  // the batches behind it, and is freed at the first sweep after its op
+  // ends.
   void sweep_batches();
+  void expire(std::uint32_t slot);
   void arm_sweep();
 
   // TTL filter applied on every lookup; see sweep_batches().
@@ -187,13 +209,31 @@ class RecoveryService final : public overlay::DcService {
 
   BatchState* cross_batch_for(const PacketKey& key);
   BatchState* in_batch_for(const PacketKey& key);
+  // The first batch covering `key`, in store order, that satisfies `pred`.
+  template <typename Pred>
+  BatchState* first_batch(const PacketKey& key, Pred pred);
+  BatchState* find_batch(std::uint32_t batch_id);
+
+  void index_add(const PacketKey& key, std::uint32_t slot);
+  void index_remove(const PacketKey& key, std::uint32_t slot);
 
   overlay::DataCenter& dc_;
   RecoveryParams params_;
   FlowRegistryPtr registry_;
 
-  std::unordered_map<std::uint32_t, BatchState> batches_;
-  std::unordered_map<PacketKey, std::vector<std::uint32_t>> key_index_;
+  // Batch storage: records_ slots are recycled through free_slots_;
+  // batch_slot_ maps a held batch id to its slot, and every held slot sits
+  // in exactly one of store_order_ (not yet expired, oldest first) and
+  // pinned_ (expired, but its coop op is still live).
+  std::vector<BatchState> records_;
+  std::vector<std::uint32_t> free_slots_;
+  FlatMap<std::uint32_t, std::uint32_t> batch_slot_;
+  FifoRing<std::uint32_t> store_order_;
+  std::vector<std::uint32_t> pinned_;
+  // Covered key -> the slots of the held batches covering it.
+  FlatMap<PacketKey, KeyBatches> batches_by_key_;
+  std::unordered_map<PacketKey, std::vector<std::uint32_t>> overflow_;
+
   std::unordered_map<std::uint32_t, CoopOp> ops_;
   std::unordered_map<PacketKey, PendingNack> pending_;
   netsim::EventId sweep_event_ = netsim::kNoEvent;  // Armed iff pending.

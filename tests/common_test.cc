@@ -4,8 +4,10 @@
 
 #include <bit>
 #include <cmath>
+#include <map>
 #include <set>
 
+#include "common/flat_map.h"
 #include "common/logging.h"
 #include "common/packet.h"
 #include "common/packet_pool.h"
@@ -583,6 +585,46 @@ TEST(Logging, FormatDuration) {
   EXPECT_EQ(format_duration(500), "500us");
   EXPECT_EQ(format_duration(msec(12)), "12ms");
   EXPECT_EQ(format_duration(sec(3)), "3s");
+}
+
+// Piles every key onto five home slots, so erases meet long probe chains
+// (some wrapping past the end of the table) that must be shifted back.
+struct FiveHomes {
+  std::size_t operator()(std::uint32_t key) const { return key % 5; }
+};
+
+TEST(FlatMap, MatchesAReferenceMapUnderCollidingInsertsAndErases) {
+  FlatMap<std::uint32_t, std::uint64_t, FiveHomes> map;
+  std::map<std::uint32_t, std::uint64_t> ref;
+  EXPECT_EQ(map.find(3), nullptr);  // Empty and unallocated.
+  EXPECT_FALSE(map.erase(3));
+  Rng rng(7);
+  for (std::uint64_t step = 0; step < 20000; ++step) {
+    const auto key = static_cast<std::uint32_t>(rng.uniform_int(0, 299));
+    if (rng.bernoulli(0.55)) {
+      auto [value, inserted] = map.try_emplace(key);
+      EXPECT_EQ(inserted, !ref.contains(key));
+      *value = step;
+      ref[key] = step;
+    } else {
+      EXPECT_EQ(map.erase(key), ref.erase(key) == 1);
+    }
+    ASSERT_EQ(map.size(), ref.size());
+    if (step % 97 != 0) continue;
+    for (std::uint32_t k = 0; k < 300; ++k) {
+      const std::uint64_t* value = map.find(k);
+      const auto it = ref.find(k);
+      ASSERT_EQ(value != nullptr, it != ref.end()) << "key " << k << " at step " << step;
+      if (value != nullptr) {
+        EXPECT_EQ(*value, it->second);
+      }
+    }
+  }
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.find(ref.begin()->first), nullptr);
+  *map.try_emplace(11).first = 5;
+  EXPECT_EQ(*map.find(11), 5u);
 }
 
 }  // namespace

@@ -307,6 +307,39 @@ TEST(Receiver, GiveUpDeclaresLossAfterWindow) {
   EXPECT_EQ(lost_records, 4);
 }
 
+// A timer-suspected hole above the evidence horizon is dropped silently at
+// give-up; a later arrival past it must report it missing again, so the gap
+// walk may skip only seqs below the horizon.
+TEST(Receiver, GapAfterSilentlyDroppedTailSuspicionIsRedetected) {
+  ReceiverConfig config;
+  config.rtt_estimate = msec(100);
+  config.recovery_give_up = msec(200);
+  config.markov.adaptive = false;
+  config.markov.small_timeout = msec(25);
+  Fixture f(config);
+  // A burst, then silence: the short timer suspects seq 3 and give-up
+  // drops the suspicion, as nothing past seq 2 ever arrived.
+  f.arrive(0);
+  f.sim.run_until(msec(10));
+  f.arrive(1);
+  f.sim.run_until(msec(20));
+  f.arrive(2);
+  f.sim.run_until(sec(2));
+  ASSERT_EQ(f.receiver->stats().suspected_tail_dropped, 1u);
+  const std::uint64_t detected = f.receiver->stats().losses_detected;
+  const std::size_t nacks_before = f.dc.of_type(PacketType::kNack).size();
+
+  f.arrive(5);
+  f.sim.run_until(sec(2) + msec(20));
+  auto nacks = f.dc.of_type(PacketType::kNack);
+  ASSERT_EQ(nacks.size(), nacks_before + 1);
+  auto info = NackInfo::parse(nacks.back()->payload);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_FALSE(info->tail);
+  EXPECT_EQ(info->missing, (std::vector<SeqNo>{3, 4}));
+  EXPECT_EQ(f.receiver->stats().losses_detected, detected + 2);
+}
+
 TEST(Receiver, ReNacksWhileHolePersists) {
   ReceiverConfig config;
   config.rtt_estimate = msec(100);

@@ -17,6 +17,8 @@
 #include "netsim/latency_model.h"
 #include "netsim/loss_model.h"
 #include "netsim/network.h"
+#include "overlay/datacenter.h"
+#include "services/coding/recovery_dc.h"
 #include "test_guards.h"
 
 namespace jqos {
@@ -119,6 +121,72 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "receiver in-order path hit the global allocator "
                         << allocs << " times over " << kPackets << " packets";
   EXPECT_GT(net.pool().reused(), 0u);
+}
+
+TEST(SteadyStateAlloc, RecoveryDcStoreAndExpireIsAllocationFree) {
+  if (!alloc_probe::active()) {
+    GTEST_SKIP() << "alloc probe inactive (sanitizer build owns the heap)";
+  }
+
+  const EvqBackendGuard evq(netsim::EvqBackend::kHeap);
+  const EnvVarGuard pool_on("JQOS_OBJ_POOL", std::string("1"));
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  overlay::DataCenter dc2(net, 2, "dc2");
+  services::RecoveryParams params;
+  params.batch_ttl = sec(1);
+  auto recovery = std::make_shared<services::RecoveryService>(
+      dc2, params, std::make_shared<services::FlowRegistry>());
+  dc2.install(recovery);
+
+  // DC1's output as DC2 sees it: per 10 ms, one in-stream batch (5 seqs of
+  // flow 1) and one cross-stream batch (one seq of flows 2..7), one coded
+  // packet each, from the shard's pool.
+  std::uint32_t batch_id = 0;
+  SeqNo seq = 0;
+  auto store = [&](PacketType type, FlowId first_flow, std::size_t flows, std::size_t seqs) {
+    auto pkt = net.pool().acquire();
+    pkt->type = type;
+    pkt->service = ServiceType::kCode;
+    pkt->payload.assign(64, 0x5a);
+    CodedMeta& meta = net.pool().engage_meta(*pkt);
+    meta.batch_id = ++batch_id;
+    meta.k = static_cast<std::uint8_t>(flows * seqs);
+    meta.r = 1;
+    meta.index = meta.k;
+    for (FlowId f = first_flow; f < first_flow + flows; ++f) {
+      for (SeqNo s = seq; s < seq + seqs; ++s) meta.covered.push_back(PacketKey{f, s});
+    }
+    dc2.handle_packet(pkt);
+  };
+  auto one_second = [&] {
+    const SimTime start = sim.now();
+    for (int i = 0; i < 100; ++i) {
+      sim.run_until(start + i * msec(10));
+      store(PacketType::kInCoded, 1, 1, 5);
+      store(PacketType::kCrossCoded, 2, 6, 1);
+      seq += 5;
+    }
+    sim.run_until(start + sec(1));
+  };
+
+  // Warmup: the records, the key index and the pool reach their high water
+  // (one TTL of batches plus one sweep interval) and the sweep is expiring.
+  for (int s = 0; s < 4; ++s) one_second();
+  ASSERT_GT(recovery->stats().batches_expired, 0u);
+
+  alloc_probe::reset();
+  const std::uint64_t stored_before = recovery->stats().batches_stored;
+  const std::uint64_t expired_before = recovery->stats().batches_expired;
+  constexpr int kSeconds = 4;
+  for (int s = 0; s < kSeconds; ++s) one_second();
+  const std::uint64_t allocs = alloc_probe::allocations();
+  const std::uint64_t stored = recovery->stats().batches_stored - stored_before;
+
+  EXPECT_EQ(stored, kSeconds * 200u);
+  EXPECT_EQ(recovery->stats().batches_expired - expired_before, stored);
+  EXPECT_EQ(allocs, 0u) << "DC2 store/expire hit the global allocator " << allocs
+                        << " times over " << stored << " batches";
 }
 
 }  // namespace
