@@ -18,6 +18,11 @@ class FifoRing {
   std::size_t size() const { return size_; }
   // Oldest element; only valid when !empty().
   const T& front() const { return slots_[head_]; }
+  // The i-th element from the front; only valid when i < size().
+  T& operator[](std::size_t i) { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+  const T& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & (slots_.size() - 1)];
+  }
   void pop_front() {
     head_ = (head_ + 1) & (slots_.size() - 1);
     --size_;

@@ -36,6 +36,8 @@ void Receiver::forget_flow(FlowId flow) {
   auto it = flows_.find(flow);
   if (it == flows_.end()) return;
   net_.sim().cancel(it->second.timer);
+  FifoRing<Slot>& window = it->second.window;
+  for (std::size_t i = 0; i < window.size(); ++i) drop_coop_request(window[i]);
   flows_.erase(it);
 }
 
@@ -96,25 +98,19 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   const SeqNo seq = pkt->seq;
 
   const SeqNo old_horizon = fs.evidence_horizon;
-  if (seq >= fs.evidence_horizon) fs.evidence_horizon = seq + 1;
-  auto miss = fs.missing.find(seq);
-  if (miss != fs.missing.end()) {
-    // Fills a known hole: either the J-QoS recovery or a straggler direct
-    // arrival that outlived the gap detection.
-    const SimTime detected = miss->second.detected_at;
-    fs.missing.erase(miss);
-    // At the contiguity edge, advance directly: inserting into
-    // arrived_ahead only for advance_contiguity to erase it again would be
-    // a map-node allocation per in-order packet.
-    if (seq == fs.next_expected) {
-      ++fs.next_expected;
-    } else {
-      fs.arrived_ahead[seq] = recovered;
+  if (seq >= fs.evidence_horizon) {
+    const SeqNo old_floor = fs.history_floor();
+    fs.evidence_horizon = seq + 1;
+    advance_window(fs);
+    // A hole can hold the window open below the history floor; the packets
+    // there leave the history all the same.
+    for (SeqNo s = std::max(old_floor, fs.base); s < fs.history_floor(); ++s) {
+      if (s - fs.base >= fs.window.size()) break;
+      fs.window[s - fs.base].packet = nullptr;
     }
-    deliver(pkt->flow, seq, pkt, recovered, detected);
-    remember(fs, pkt);
-    advance_contiguity(fs, pkt->flow);
-  } else if (seq < fs.next_expected || fs.arrived_ahead.count(seq) != 0) {
+  }
+  const SeqState state = fs.state(seq);
+  if (state == SeqState::kDone) {
     // Already delivered (e.g. both the direct copy and the recovered copy
     // arrived, or a multicast duplicate).
     ++stats_.duplicates;
@@ -130,23 +126,21 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
       on_delivery_(rec, pkt);
     }
     return;
-  } else {
-    if (seq > fs.next_expected) {
-      // Gap: everything in [next_expected, seq) is missing as of now. Below
-      // the old evidence horizon every seq is already missing or arrived
-      // (give-up turns a hole there into arrived_ahead[seq] = false); only
-      // holes at or above it are ever dropped silently, so the walk starts
-      // there.
-      note_missing(fs, pkt->flow, std::max(fs.next_expected, old_horizon), seq);
-      fs.arrived_ahead[seq] = recovered;
-    } else {
-      // In-order fast path (see above): no arrived_ahead churn.
-      ++fs.next_expected;
-    }
-    deliver(pkt->flow, seq, pkt, recovered, 0);
-    remember(fs, pkt);
-    advance_contiguity(fs, pkt->flow);
   }
+  SimTime detected = 0;
+  if (state == SeqState::kMissing) {
+    // Fills a known hole: either the J-QoS recovery or a straggler direct
+    // arrival that outlived the gap detection.
+    detected = fs.at(seq).detected_at;
+  } else if (seq > fs.next_expected) {
+    // Gap: everything in [next_expected, seq) is missing as of now. Below
+    // the old evidence horizon every seq is already missing or done; only
+    // holes at or above it are ever dropped silently, so the walk starts
+    // there.
+    note_missing(fs, pkt->flow, std::max(fs.next_expected, old_horizon), seq);
+  }
+  deliver(pkt->flow, fs, pkt, recovered, detected);
+  advance_window(fs);
 
   // Direct-path arrivals feed the Markov detector and (re)arm the timer;
   // recovered packets say nothing about the direct path, but they do keep
@@ -168,16 +162,19 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   }
 }
 
-void Receiver::note_missing(FlowState& fs, FlowId flow, SeqNo from, SeqNo to_exclusive) {
+void Receiver::note_missing(FlowState& fs, FlowId flow, SeqNo from, SeqNo to_exclusive,
+                            bool tail) {
   const SimTime now = net_.sim().now();
   gap_scratch_.clear();
   for (SeqNo s = from; s < to_exclusive; ++s) {
-    if (fs.missing.count(s) != 0 || fs.arrived_ahead.count(s) != 0) continue;
-    fs.missing[s] = MissingInfo{now, now, 1};
+    Slot& slot = fs.at(s);
+    if (slot.state != SeqState::kUnknown) continue;
+    slot.state = SeqState::kMissing;
+    slot.detected_at = slot.last_nack_at = now;
     gap_scratch_.push_back(s);
     ++stats_.losses_detected;
   }
-  if (!gap_scratch_.empty()) send_nack(flow, fs, gap_scratch_, /*tail=*/false);
+  if (!gap_scratch_.empty()) send_nack(flow, fs, gap_scratch_, tail);
 }
 
 void Receiver::send_nack(FlowId flow, FlowState& fs, const std::vector<SeqNo>& missing,
@@ -219,12 +216,13 @@ void Receiver::send_nack(FlowId flow, FlowState& fs, const std::vector<SeqNo>& m
   }
 }
 
-void Receiver::deliver(FlowId flow, SeqNo seq, const PacketPtr& pkt, bool recovered,
+void Receiver::deliver(FlowId flow, FlowState& fs, const PacketPtr& pkt, bool recovered,
                        SimTime detected_at) {
   const SimTime now = net_.sim().now();
+  fs.at(pkt->seq).state = SeqState::kDone;
   DeliveryRecord rec;
   rec.flow = flow;
-  rec.seq = seq;
+  rec.seq = pkt->seq;
   rec.sent_at = pkt->sent_at;
   rec.delivered_at = now;
   rec.recovered = recovered;
@@ -241,62 +239,47 @@ void Receiver::deliver(FlowId flow, SeqNo seq, const PacketPtr& pkt, bool recove
     }
   }
   if (on_delivery_) on_delivery_(rec, pkt);
+
+  // Keep the packet as history, and answer a deferred cooperative request
+  // that was waiting for it.
+  Slot& slot = fs.at(pkt->seq);
+  if (slot.coop_request && now <= slot.coop_deadline) {
+    ++stats_.coop_deferred;
+    net_.send(node_id_, coop_response(*slot.coop_request, *pkt));
+    slot.coop_request = nullptr;
+  }
+  drop_coop_request(slot);  // Arrived past the request's deadline.
+  if (pkt->seq >= fs.history_floor()) slot.packet = pkt;
 }
 
-void Receiver::advance_contiguity(FlowState& fs, FlowId flow) {
-  (void)flow;
-  while (true) {
-    auto it = fs.arrived_ahead.find(fs.next_expected);
-    if (it == fs.arrived_ahead.end()) break;
-    fs.arrived_ahead.erase(it);
-    ++fs.next_expected;
-  }
+PacketPtr Receiver::coop_response(const Packet& request, const Packet& data) {
+  auto resp = make_packet(net_.pool(), PacketType::kCoopResponse, ServiceType::kCode,
+                          request.flow, request.seq, node_id_, request.src, net_.sim().now());
+  resp->meta = request.meta;  // Echo the batch id back.
+  resp->payload = data.payload;
+  ++stats_.coop_responses_sent;
+  return resp;
 }
 
-void Receiver::remember(FlowState& fs, const PacketPtr& pkt) {
-  // A deferred cooperative request may have been waiting for this packet.
-  auto dit = fs.deferred_coop.find(pkt->seq);
-  if (dit != fs.deferred_coop.end()) {
-    const PacketPtr request = dit->second.first;
-    const SimTime deadline = dit->second.second;
-    fs.deferred_coop.erase(dit);
-    if (net_.sim().now() <= deadline) {
-      ++stats_.coop_deferred;
-      auto resp = make_packet(net_.pool(), PacketType::kCoopResponse, ServiceType::kCode,
-                              request->flow, request->seq, node_id_, request->src,
-                              net_.sim().now());
-      resp->meta = request->meta;
-      resp->payload = pkt->payload;
-      ++stats_.coop_responses_sent;
-      net_.send(node_id_, resp);
-    }
+void Receiver::drop_coop_request(Slot& slot) {
+  if (!slot.coop_request) return;
+  ++stats_.coop_misses;
+  slot.coop_request = nullptr;
+}
+
+// Moves next_expected past the done seqs, then drops the slots below
+// min(next_expected, history floor).
+void Receiver::advance_window(FlowState& fs) {
+  while (fs.state(fs.next_expected) == SeqState::kDone) ++fs.next_expected;
+  const SeqNo base = std::min(fs.next_expected, fs.history_floor());
+  while (fs.base < base && !fs.window.empty()) {
+    // Release what the slot holds before the ring recycles its storage.
+    drop_coop_request(fs.window[0]);
+    fs.window[0] = Slot{};
+    fs.window.pop_front();
+    ++fs.base;
   }
-  // Opportunistic pruning of expired deferred requests.
-  if (fs.deferred_coop.size() > 64) {
-    for (auto itd = fs.deferred_coop.begin(); itd != fs.deferred_coop.end();) {
-      if (itd->second.second < net_.sim().now()) {
-        ++stats_.coop_misses;
-        itd = fs.deferred_coop.erase(itd);
-      } else {
-        ++itd;
-      }
-    }
-  }
-  if (fs.buffer.count(pkt->seq) == 0) {
-    if (config_.buffer_packets > 0 && fs.buffer_order.size() >= config_.buffer_packets) {
-      // At capacity: recycle the evicted entry's map node (extract +
-      // reinsert) so steady-state history churn never touches the
-      // allocator. The FIFO ring keeps eviction order.
-      auto node = fs.buffer.extract(fs.buffer_order.front());
-      fs.buffer_order.pop_front();
-      node.key() = pkt->seq;
-      node.mapped() = pkt;
-      fs.buffer.insert(std::move(node));
-    } else {
-      fs.buffer.emplace(pkt->seq, pkt);
-    }
-    fs.buffer_order.push_back(pkt->seq);
-  }
+  if (fs.window.empty()) fs.base = base;
 }
 
 void Receiver::on_in_coded(const PacketPtr& pkt) {
@@ -327,10 +310,11 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
   wanted_scratch_.clear();
   for (std::size_t pos = 0; pos < meta.covered.size(); ++pos) {
     const PacketKey& key = meta.covered[pos];
-    auto buf = fs.buffer.find(key.seq);
-    if (buf != fs.buffer.end()) {
-      present_scratch_.emplace_back(pos, std::span<const std::uint8_t>(buf->second->payload));
-    } else if (fs.missing.count(key.seq) != 0) {
+    const Slot* slot = fs.find(key.seq);
+    if (slot == nullptr) continue;
+    if (slot->packet) {
+      present_scratch_.emplace_back(pos, std::span<const std::uint8_t>(slot->packet->payload));
+    } else if (slot->state == SeqState::kMissing) {
       wanted_scratch_.emplace_back(pos, key);
     }
   }
@@ -340,21 +324,18 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
   if (!recovered) return;  // Not enough symbols yet; keep the coded packets.
 
   for (auto& rp : *recovered) {
-    auto miss = fs.missing.find(rp.key.seq);
-    if (miss == fs.missing.end()) continue;
-    const SimTime detected = miss->second.detected_at;
-    fs.missing.erase(miss);
+    const Slot* slot = fs.find(rp.key.seq);
+    if (slot == nullptr || slot->state != SeqState::kMissing) continue;
+    const SimTime detected = slot->detected_at;
     ++stats_.self_decoded;
     auto packet = net_.pool().acquire();
     packet->type = PacketType::kRecovered;
     packet->flow = rp.key.flow;
     packet->seq = rp.key.seq;
     packet->payload = std::move(rp.payload);
-    if (rp.key.seq >= fs.next_expected) fs.arrived_ahead[rp.key.seq] = true;
-    deliver(flow, rp.key.seq, packet, /*recovered=*/true, detected);
-    remember(fs, packet);
+    deliver(flow, fs, packet, /*recovered=*/true, detected);
   }
-  advance_contiguity(fs, flow);
+  advance_window(fs);
   fs.in_coded.erase(batch_id);
   std::erase(fs.in_coded_order, batch_id);
 }
@@ -366,22 +347,22 @@ void Receiver::on_coop_request(const PacketPtr& pkt) {
     return;
   }
   FlowState& fs = it->second;
-  auto buf = fs.buffer.find(pkt->seq);
-  if (buf == fs.buffer.end()) {
-    if (pkt->seq >= fs.evidence_horizon) {
+  const Slot* slot = fs.find(pkt->seq);
+  if (slot == nullptr || !slot->packet) {
+    if (pkt->seq >= fs.evidence_horizon && pkt->seq - fs.evidence_horizon < kHistory) {
       // Not lost -- just not here yet (the requester's path is faster).
-      // Hold the request and answer on arrival.
-      fs.deferred_coop[pkt->seq] = {pkt, net_.sim().now() + config_.coop_defer_window};
+      // Hold the request and answer on arrival; it replaces an older one.
+      Slot& deferred = fs.at(pkt->seq);
+      drop_coop_request(deferred);
+      deferred.coop_request = pkt;
+      deferred.coop_deadline = net_.sim().now() + config_.coop_defer_window;
       return;
     }
-    ++stats_.coop_misses;  // We lost it too; the coded packets must cover.
+    // We lost it too, or it is too far ahead to hold: the coded packets must cover.
+    ++stats_.coop_misses;
     return;
   }
-  auto resp = make_packet(net_.pool(), PacketType::kCoopResponse, ServiceType::kCode,
-                          pkt->flow, pkt->seq, node_id_, pkt->src, net_.sim().now());
-  resp->meta = pkt->meta;  // Echo the batch id back.
-  resp->payload = buf->second->payload;
-  ++stats_.coop_responses_sent;
+  auto resp = coop_response(*pkt, *slot->packet);
   if (config_.coop_slow_prob > 0.0 && rng_.bernoulli(config_.coop_slow_prob)) {
     // Straggler: the host is busy; the response leaves late.
     const SimDuration delay =
@@ -396,7 +377,7 @@ void Receiver::on_nack_check(const PacketPtr& pkt) {
   auto it = flows_.find(pkt->flow);
   if (it == flows_.end()) return;
   FlowState& fs = it->second;
-  if (!is_missing_or_future(fs, pkt->seq)) return;  // Spurious; stay silent.
+  if (fs.state(pkt->seq) == SeqState::kDone) return;  // Spurious; stay silent.
   nack_scratch_.tail = false;
   nack_scratch_.expected = fs.next_expected;
   nack_scratch_.missing.assign(1, pkt->seq);
@@ -407,45 +388,40 @@ void Receiver::on_nack_check(const PacketPtr& pkt) {
   net_.send(node_id_, confirm);
 }
 
-bool Receiver::is_missing_or_future(const FlowState& fs, SeqNo seq) const {
-  if (fs.missing.count(seq) != 0) return true;
-  return seq >= fs.next_expected && fs.arrived_ahead.count(seq) == 0;
-}
-
-SimDuration Receiver::give_up_span(const FlowState& fs) const {
-  (void)fs;
-  return config_.recovery_give_up > 0 ? config_.recovery_give_up : config_.rtt_estimate;
-}
-
-void Receiver::give_up_stale(FlowId flow, FlowState& fs) {
+bool Receiver::give_up_stale(FlowId flow, FlowState& fs) {
   const SimTime now = net_.sim().now();
-  const SimDuration span = give_up_span(fs);
-  for (auto it = fs.missing.begin(); it != fs.missing.end();) {
-    if (now - it->second.detected_at >= span) {
-      if (it->first >= fs.evidence_horizon) {
-        // A timer suspicion with no later delivery confirming the packet
-        // ever existed (the stream simply paused): drop silently. The
-        // sequence number stays claimable -- if the stream resumes with it,
-        // it must be delivered normally, not treated as a duplicate.
-        ++stats_.suspected_tail_dropped;
-        it = fs.missing.erase(it);
-        continue;
-      }
-      ++stats_.losses_given_up;
-      DeliveryRecord rec;
-      rec.flow = flow;
-      rec.seq = it->first;
-      rec.delivered_at = now;
-      rec.lost = true;
-      rec.detected_missing_at = it->second.detected_at;
-      if (on_delivery_) on_delivery_(rec, nullptr);
-      if (it->first >= fs.next_expected) fs.arrived_ahead[it->first] = false;
-      it = fs.missing.erase(it);
-    } else {
-      ++it;
+  const SimDuration span =
+      config_.recovery_give_up > 0 ? config_.recovery_give_up : config_.rtt_estimate;
+  bool holes_left = false;
+  for (std::size_t i = fs.next_expected - fs.base; i < fs.window.size(); ++i) {
+    Slot& slot = fs.window[i];
+    if (slot.state != SeqState::kMissing) continue;
+    if (now - slot.detected_at < span) {
+      holes_left = true;
+      continue;
     }
+    const SeqNo seq = fs.base + static_cast<SeqNo>(i);
+    if (seq >= fs.evidence_horizon) {
+      // A timer suspicion with no later delivery confirming the packet
+      // ever existed (the stream simply paused): drop silently. The
+      // sequence number stays claimable -- if the stream resumes with it,
+      // it must be delivered normally, not treated as a duplicate.
+      ++stats_.suspected_tail_dropped;
+      slot.state = SeqState::kUnknown;
+      continue;
+    }
+    ++stats_.losses_given_up;
+    slot.state = SeqState::kDone;
+    DeliveryRecord rec;
+    rec.flow = flow;
+    rec.seq = seq;
+    rec.delivered_at = now;
+    rec.lost = true;
+    rec.detected_missing_at = slot.detected_at;
+    if (on_delivery_) on_delivery_(rec, nullptr);
   }
-  advance_contiguity(fs, flow);
+  advance_window(fs);
+  return holes_left;
 }
 
 void Receiver::arm_timer(FlowId flow, FlowState& fs, SimDuration timeout) {
@@ -483,11 +459,8 @@ void Receiver::on_timer(FlowId flow) {
   // opening packet itself may be lost (e.g. a SYN-ACK, Section 6.4).
   const bool nothing_yet = fs.last_arrival < 0 && fs.evidence_horizon == 0;
   if (was_short || !config_.use_markov || outage_mode || nothing_yet) {
-    if (fs.missing.count(fs.next_expected) == 0 &&
-        fs.arrived_ahead.count(fs.next_expected) == 0) {
-      fs.missing[fs.next_expected] = MissingInfo{now, now, 1};
-      ++stats_.losses_detected;
-      send_nack(flow, fs, {fs.next_expected}, /*tail=*/true);
+    if (fs.state(fs.next_expected) == SeqState::kUnknown) {
+      note_missing(fs, flow, fs.next_expected, fs.next_expected + 1, /*tail=*/true);
     } else if (outage_mode) {
       // The hole at next_expected is already tracked, but the stream is
       // being carried by recovery alone: keep probing past the evidence
@@ -500,22 +473,21 @@ void Receiver::on_timer(FlowId flow) {
 
   // Re-NACK holes whose last attempt is stale (lost NACK or lost recovery).
   stale_scratch_.clear();
-  for (auto& [seq, info] : fs.missing) {
-    if (now - info.last_nack_at >= config_.renack_interval) {
-      info.last_nack_at = now;
-      ++info.nack_count;
-      stale_scratch_.push_back(seq);
+  for (std::size_t i = fs.next_expected - fs.base; i < fs.window.size(); ++i) {
+    Slot& slot = fs.window[i];
+    if (slot.state == SeqState::kMissing && now - slot.last_nack_at >= config_.renack_interval) {
+      slot.last_nack_at = now;
+      stale_scratch_.push_back(fs.base + static_cast<SeqNo>(i));
     }
   }
   if (!stale_scratch_.empty()) send_nack(flow, fs, stale_scratch_, /*tail=*/false);
 
-  give_up_stale(flow, fs);
+  const bool holes_left = give_up_stale(flow, fs);
 
   // Keep the timer running while the flow is live or holes remain. Flows
   // being carried by recovery alone (outages) stay live via last_activity.
   const bool active =
-      (fs.last_activity >= 0 && now - fs.last_activity < config_.idle_stop) ||
-      !fs.missing.empty();
+      (fs.last_activity >= 0 && now - fs.last_activity < config_.idle_stop) || holes_left;
   if (active) arm_timer(flow, fs, next_timeout);
 }
 

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -80,8 +79,6 @@ struct ReceiverConfig {
   // timeout of `single_timeout` (Section 6.4 reports 5x more NACKs).
   bool use_markov = true;
   SimDuration single_timeout = msec(25);
-  // Per-flow history buffer (cooperative responses / in-stream decode).
-  std::size_t buffer_packets = 1024;
   // A missing packet not recovered within this span is declared lost (the
   // paper counts recovery beyond one RTT as a loss); 0 means one RTT.
   SimDuration recovery_give_up = 0;
@@ -152,6 +149,11 @@ class Receiver final : public netsim::Node {
   // for records that report a given-up loss.
   using DeliverFn = std::function<void(const DeliveryRecord&, const PacketPtr& pkt)>;
 
+  // Per-flow history depth in sequence numbers: a packet is kept for
+  // cooperative responses and in-stream self-decode while its seq is within
+  // kHistory of the flow's evidence horizon.
+  static constexpr SeqNo kHistory = 1024;
+
   Receiver(netsim::Network& net, const ReceiverConfig& config, DeliverFn on_delivery = {});
 
   NodeId id() const override { return node_id_; }
@@ -163,9 +165,9 @@ class Receiver final : public netsim::Node {
   // Starts tracking a flow (first expected sequence number is 0).
   void expect_flow(FlowId flow);
 
-  // Stops tracking a flow and reclaims ALL of its state (gap map, reorder
-  // buffer, history buffer, deferred coop requests, in-stream coded
-  // batches, detector, timer). Packets of the flow that are still in
+  // Stops tracking a flow and reclaims ALL of its state (holes, history,
+  // deferred coop requests -- each counted as a coop miss -- in-stream
+  // coded batches, detector, timer). Packets of the flow still in
   // flight arrive as unknown-flow packets, which every handler already
   // ignores; a cooperative request for a forgotten flow counts as a miss.
   // Session churn depends on this being a complete teardown: per-flow
@@ -190,26 +192,36 @@ class Receiver final : public netsim::Node {
   bool overlay_up() const { return overlay_up_; }
 
  private:
-  struct MissingInfo {
-    SimTime detected_at = 0;
-    SimTime last_nack_at = 0;
-    int nack_count = 0;
+  // Where one sequence number of a flow stands. kDone: delivered or given
+  // up; everything below next_expected is kDone.
+  enum class SeqState : std::uint8_t { kUnknown, kMissing, kDone };
+
+  struct Slot {
+    SeqState state = SeqState::kUnknown;
+    SimTime detected_at = 0;   // kMissing: when the hole was detected.
+    SimTime last_nack_at = 0;  // kMissing: when it was last NACKed.
+    // History for coop responses / self-decode; kept while the seq is
+    // within kHistory of the evidence horizon.
+    PacketPtr packet;
+    // A cooperative request for a packet that has not arrived yet (the
+    // requester's detection raced our slower direct path): answered as
+    // soon as the packet lands, if that is before the deadline.
+    PacketPtr coop_request;
+    SimTime coop_deadline = 0;
   };
 
   struct FlowState {
     SeqNo next_expected = 0;
-    // Contiguity edge: all seq < next_expected are delivered, recovered, or
-    // given up. Gaps above the edge live in `missing`; out-of-order
-    // arrivals above the edge in `arrived_ahead`.
-    std::map<SeqNo, MissingInfo> missing;
-    std::map<SeqNo, bool> arrived_ahead;  // value: was it `recovered`?
-    // Recent packets for coop responses / self-decode, FIFO-bounded.
-    std::unordered_map<SeqNo, PacketPtr> buffer;
-    FifoRing<SeqNo> buffer_order;
-    // Cooperative requests for packets that have not arrived yet (the
-    // requester's detection raced our slower direct path): answered as
-    // soon as the packet lands, dropped after a short window.
-    std::map<SeqNo, std::pair<PacketPtr, SimTime>> deferred_coop;
+    // One past the highest sequence number with delivery evidence; holes at
+    // or above this may be timer suspicions about packets that were never
+    // sent (burst boundary), so they are dropped silently on give-up.
+    SeqNo evidence_horizon = 0;
+    // The flow's sequence space: window[i] is seq base + i, from
+    // base = min(next_expected, history_floor()) up to the highest seq
+    // touched (an arrival, a hole or a deferred coop request). Seqs below
+    // base are done; seqs past the window are unknown.
+    FifoRing<Slot> window;
+    SeqNo base = 0;
     // In-stream coded packets by batch, kept until decode or eviction.
     std::unordered_map<std::uint32_t, std::vector<PacketPtr>> in_coded;
     std::deque<std::uint32_t> in_coded_order;
@@ -219,12 +231,26 @@ class Receiver final : public netsim::Node {
     SimTime last_activity = -1;  // Any delivery, incl. recoveries: keeps the
                                  // timer alive through outages so tail
                                  // recovery continues wave after wave.
-    // One past the highest sequence number with delivery evidence; holes at
-    // or above this may be timer suspicions about packets that were never
-    // sent (burst boundary), so they are dropped silently on give-up.
-    SeqNo evidence_horizon = 0;
 
     explicit FlowState(const MarkovDetector& d) : detector(d) {}
+
+    SeqState state(SeqNo seq) const {
+      if (seq < base) return SeqState::kDone;
+      return seq - base < window.size() ? window[seq - base].state : SeqState::kUnknown;
+    }
+    // The slot of `seq` if the window holds it.
+    Slot* find(SeqNo seq) {
+      return seq >= base && seq - base < window.size() ? &window[seq - base] : nullptr;
+    }
+    // The slot of `seq` (>= base), growing the window up to it.
+    Slot& at(SeqNo seq) {
+      while (seq - base >= window.size()) window.push_back(Slot{});
+      return window[seq - base];
+    }
+    // The lowest seq whose packet is still kept as history.
+    SeqNo history_floor() const {
+      return evidence_horizon > kHistory ? evidence_horizon - kHistory : 0;
+    }
   };
 
   void on_data(const PacketPtr& pkt, bool recovered);
@@ -242,18 +268,18 @@ class Receiver final : public netsim::Node {
   void send_probe();
   bool any_active_flow() const;
 
-  void note_missing(FlowState& fs, FlowId flow, SeqNo from, SeqNo to_exclusive);
+  void note_missing(FlowState& fs, FlowId flow, SeqNo from, SeqNo to_exclusive,
+                    bool tail = false);
   void send_nack(FlowId flow, FlowState& fs, const std::vector<SeqNo>& missing, bool tail,
                  bool probe = false);
-  void deliver(FlowId flow, SeqNo seq, const PacketPtr& pkt, bool recovered,
+  void deliver(FlowId flow, FlowState& fs, const PacketPtr& pkt, bool recovered,
                SimTime detected_at);
-  void advance_contiguity(FlowState& fs, FlowId flow);
-  void remember(FlowState& fs, const PacketPtr& pkt);
+  void advance_window(FlowState& fs);
+  void drop_coop_request(Slot& slot);
+  PacketPtr coop_response(const Packet& request, const Packet& data);
   void try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_id);
-  void give_up_stale(FlowId flow, FlowState& fs);
+  bool give_up_stale(FlowId flow, FlowState& fs);
   void arm_timer(FlowId flow, FlowState& fs, SimDuration timeout);
-  bool is_missing_or_future(const FlowState& fs, SeqNo seq) const;
-  SimDuration give_up_span(const FlowState& fs) const;
 
   netsim::Network& net_;
   NodeId node_id_;

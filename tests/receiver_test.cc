@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "common/rng.h"
 #include "endpoint/receiver.h"
 #include "fec/coded_batch.h"
 #include "netsim/network.h"
@@ -58,6 +59,15 @@ struct Fixture {
     p->sent_at = sim.now();
     p->payload.assign(32, static_cast<std::uint8_t>(seq));
     receiver->handle_packet(p);
+  }
+
+  void coop_request(SeqNo seq) {
+    auto req = std::make_shared<Packet>();
+    req->type = PacketType::kCoopRequest;
+    req->flow = 1;
+    req->seq = seq;
+    req->src = dc.id();
+    receiver->handle_packet(req);
   }
 };
 
@@ -188,6 +198,88 @@ TEST(Receiver, CoopRequestForFuturePacketDeferredUntilArrival) {
   EXPECT_EQ(f.receiver->stats().coop_deferred, 1u);
 }
 
+// The history keeps the last kHistory sequence numbers below the evidence
+// horizon: with top the highest arrival, top - kHistory + 1 is answered and
+// top - kHistory is not -- also while open holes (seqs 1, 2) hold the
+// window open below them.
+TEST(Receiver, CoopHistoryCoversExactlyTheLastKHistorySeqs) {
+  for (bool hole : {false, true}) {
+    SCOPED_TRACE(hole);
+    Fixture f;
+    const SeqNo top = Receiver::kHistory + 10;
+    for (SeqNo s = 0; s <= top; ++s) {
+      if (!hole || s < 1 || s > 2) f.arrive(s);
+    }
+    f.coop_request(top - Receiver::kHistory + 1);
+    f.coop_request(top - Receiver::kHistory);
+    f.sim.run_until(msec(20));
+    auto resp = f.dc.of_type(PacketType::kCoopResponse);
+    ASSERT_EQ(resp.size(), 1u);
+    EXPECT_EQ(resp[0]->seq, top - Receiver::kHistory + 1);
+    EXPECT_EQ(f.receiver->stats().coop_misses, 1u);
+    if (hole) {
+      // History is by sequence number: a late fill far below the horizon
+      // is delivered but not kept.
+      f.arrive(2, PacketType::kRecovered);
+      EXPECT_EQ(f.records.back().seq, 2u);
+      f.coop_request(2);
+      EXPECT_EQ(f.receiver->stats().coop_misses, 2u);
+    }
+  }
+}
+
+// A request at least kHistory past the evidence horizon is not held: it is
+// a miss at once, and the packet's later arrival answers nothing.
+TEST(Receiver, FarFutureCoopRequestIsAMissWithoutResponse) {
+  Fixture f;
+  f.arrive(0);  // Horizon 1.
+  f.coop_request(1 + Receiver::kHistory);
+  EXPECT_EQ(f.receiver->stats().coop_misses, 1u);
+  f.coop_request(Receiver::kHistory);  // The farthest seq still held.
+  EXPECT_EQ(f.receiver->stats().coop_misses, 1u);
+  for (SeqNo s = 1; s <= Receiver::kHistory + 1; ++s) f.arrive(s);
+  f.sim.run_until(msec(20));
+  auto resp = f.dc.of_type(PacketType::kCoopResponse);
+  ASSERT_EQ(resp.size(), 1u);
+  EXPECT_EQ(resp[0]->seq, Receiver::kHistory);
+  EXPECT_EQ(f.receiver->stats().coop_deferred, 1u);
+  EXPECT_EQ(f.receiver->stats().coop_misses, 1u);
+}
+
+// A deferred request dropped unanswered is a miss exactly once: replaced
+// by a newer request, outlived by its deadline, left behind by the window,
+// or torn down with the flow.
+TEST(Receiver, DroppedDeferredCoopRequestCountsOneMiss) {
+  ReceiverConfig config;
+  config.coop_defer_window = msec(50);
+  Fixture f(config);
+  f.arrive(0);
+  f.coop_request(3);
+  f.coop_request(3);  // Replaces the first.
+  EXPECT_EQ(f.receiver->stats().coop_misses, 1u);
+  f.sim.run_until(msec(100));
+  f.arrive(3);  // Past the deadline: no response.
+  EXPECT_EQ(f.receiver->stats().coop_misses, 2u);
+  f.arrive(3);  // A duplicate finds nothing left to count.
+  EXPECT_EQ(f.receiver->stats().coop_misses, 2u);
+  // Held for seq 4, which is lost and given up: the request leaves with
+  // its slot once the horizon is kHistory past it.
+  f.coop_request(4);
+  f.arrive(5);
+  f.sim.run_until(msec(400));
+  ASSERT_EQ(f.receiver->stats().losses_given_up, 3u);  // Seqs 1, 2 and 4.
+  for (SeqNo s = 6; s < 4 + Receiver::kHistory; ++s) f.arrive(s);
+  EXPECT_EQ(f.receiver->stats().coop_misses, 2u);
+  f.arrive(4 + Receiver::kHistory);
+  EXPECT_EQ(f.receiver->stats().coop_misses, 3u);
+  f.coop_request(5 + Receiver::kHistory);
+  f.receiver->forget_flow(1);
+  EXPECT_EQ(f.receiver->stats().coop_misses, 4u);
+  f.sim.run_until(msec(200));
+  EXPECT_TRUE(f.dc.of_type(PacketType::kCoopResponse).empty());
+  EXPECT_EQ(f.receiver->stats().coop_deferred, 0u);
+}
+
 TEST(Receiver, NackCheckConfirmedOnlyWhenMissing) {
   Fixture f;
   f.arrive(0);
@@ -290,6 +382,15 @@ TEST(Receiver, ReexpectedFlowRunsOnlyTheNewStatesTimer) {
   ASSERT_TRUE(info.has_value());
   EXPECT_TRUE(info->tail);
   EXPECT_EQ(info->expected, 0u);  // The new state's frontier, not the old 3.
+
+  // The new state starts with an empty window: a seq the old state already
+  // delivered is a first delivery, not a duplicate.
+  const std::size_t before = f.records.size();
+  f.arrive(0);
+  ASSERT_EQ(f.records.size(), before + 1);
+  EXPECT_EQ(f.records.back().seq, 0u);
+  EXPECT_FALSE(f.records.back().late_direct);
+  EXPECT_EQ(f.receiver->stats().duplicates, 0u);
 }
 
 TEST(Receiver, GiveUpDeclaresLossAfterWindow) {
@@ -305,6 +406,21 @@ TEST(Receiver, GiveUpDeclaresLossAfterWindow) {
   int lost_records = 0;
   for (const auto& r : f.records) lost_records += r.lost ? 1 : 0;
   EXPECT_EQ(lost_records, 4);
+}
+
+// Open holes keep the flow's timer running past idle_stop, so a hole is
+// still given up when the give-up span outlasts the flow's activity.
+TEST(Receiver, HoleOutlivingIdleStopIsStillGivenUp) {
+  ReceiverConfig config;
+  config.idle_stop = sec(1);
+  config.recovery_give_up = sec(3);
+  Fixture f(config);
+  f.arrive(0);
+  f.arrive(2);  // Seq 1 missing; nothing else ever arrives.
+  f.sim.run();
+  EXPECT_EQ(f.receiver->stats().losses_given_up, 1u);
+  ASSERT_FALSE(f.records.empty());
+  EXPECT_TRUE(f.records.back().lost);
 }
 
 // A timer-suspected hole above the evidence horizon is dropped silently at
@@ -393,6 +509,72 @@ TEST(Receiver, UnknownFlowIgnored) {
   p->seq = 0;
   f.receiver->handle_packet(p);
   EXPECT_TRUE(f.records.empty());
+}
+
+// A seeded random schedule of reordered, duplicated and dropped arrivals,
+// recovered copies (some of them racing the direct copy) and timer firings
+// in the pauses between bursts: no seq reaches the application twice
+// (late_direct notices aside), and once the receiver is idle every seq up
+// to the highest arrival was delivered or given up exactly once.
+TEST(Receiver, RandomScheduleDeliversOrGivesUpEverySeqExactlyOnce) {
+  ReceiverStats total;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    ReceiverConfig config;
+    config.rtt_estimate = msec(60);
+    config.recovery_give_up = msec(150);
+    config.renack_interval = msec(40);
+    Fixture f(config);
+    Rng rng(seed);
+    const SeqNo kSeqs = 3000;
+    SimTime t = msec(1);
+    SeqNo top = 0;
+    for (SeqNo seq = 0; seq < kSeqs; ++seq) {
+      // Bursts of about 50 packets 2 ms apart, then a pause long enough
+      // for the short timer to fire.
+      t += rng.bernoulli(0.02) ? msec(300) : msec(2);
+      const bool dropped = rng.bernoulli(0.08);
+      if (!dropped) {
+        const SimTime at = t + rng.uniform_int(0, msec(12));  // Reordering.
+        f.sim.at(at, [&f, seq] { f.arrive(seq); });
+        top = std::max(top, seq);
+        if (rng.bernoulli(0.03)) {
+          f.sim.at(at + rng.uniform_int(0, msec(30)), [&f, seq] { f.arrive(seq); });
+        }
+      }
+      if (rng.bernoulli(dropped ? 0.7 : 0.05)) {
+        const SimTime at = t + rng.uniform_int(msec(5), msec(250));
+        f.sim.at(at, [&f, seq] { f.arrive(seq, PacketType::kRecovered); });
+        top = std::max(top, seq);
+      }
+    }
+    f.sim.run();
+
+    std::map<SeqNo, int> outcomes;
+    for (const auto& r : f.records) {
+      if (r.late_direct) {
+        EXPECT_EQ(outcomes.count(r.seq), 1u) << "late notice before delivery of " << r.seq;
+        continue;
+      }
+      EXPECT_EQ(++outcomes[r.seq], 1) << "seq " << r.seq << " reached the app twice";
+    }
+    for (SeqNo seq = 0; seq <= top; ++seq) {
+      EXPECT_EQ(outcomes.count(seq), 1u) << "seq " << seq << " never delivered or given up";
+    }
+    const ReceiverStats& st = f.receiver->stats();
+    EXPECT_EQ(st.delivered_direct + st.delivered_recovered + st.losses_given_up, outcomes.size());
+    total.delivered_recovered += st.delivered_recovered;
+    total.losses_given_up += st.losses_given_up;
+    total.duplicates += st.duplicates;
+    total.tail_nacks_sent += st.tail_nacks_sent;
+    total.suspected_tail_dropped += st.suspected_tail_dropped;
+  }
+  // The schedule reaches every path it is meant to.
+  EXPECT_GT(total.delivered_recovered, 0u);
+  EXPECT_GT(total.losses_given_up, 0u);
+  EXPECT_GT(total.duplicates, 0u);
+  EXPECT_GT(total.tail_nacks_sent, 0u);
+  EXPECT_GT(total.suspected_tail_dropped, 0u);
 }
 
 }  // namespace

@@ -109,8 +109,8 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
     }
   };
 
-  // Warmup must exceed buffer_packets (1024): the reorder buffer recycles
-  // its map nodes only once it reaches capacity and starts evicting.
+  // Warmup must exceed Receiver::kHistory (1024): the flow's window ring
+  // reaches its steady capacity only once history slots start leaving it.
   feed(2048);
 
   alloc_probe::reset();
@@ -121,6 +121,53 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "receiver in-order path hit the global allocator "
                         << allocs << " times over " << kPackets << " packets";
   EXPECT_GT(net.pool().reused(), 0u);
+}
+
+TEST(SteadyStateAlloc, ReceiverOutOfOrderPathIsAllocationFree) {
+  if (!alloc_probe::active()) {
+    GTEST_SKIP() << "alloc probe inactive (sanitizer build owns the heap)";
+  }
+
+  const EnvVarGuard pool_on("JQOS_OBJ_POOL", std::string("1"));
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  endpoint::ReceiverConfig rc;
+  rc.record_delay_samples = false;  // Per-packet Samples grow unboundedly.
+  endpoint::Receiver receiver(net, rc);
+  receiver.expect_flow(1);
+
+  auto arrive = [&](SeqNo seq, PacketType type) {
+    auto pkt = make_packet(net.pool(), type, ServiceType::kCode, 1, seq, /*src=*/1,
+                           /*dst=*/receiver.id(), /*now=*/0);
+    pkt->payload.assign(256, 0);
+    receiver.handle_packet(pkt);
+  };
+  // Per block of 8 seqs: two swapped pairs (seq + 1 before seq), then a
+  // hole at seq + 4 that a recovered copy fills after seq + 5..7 arrived.
+  SeqNo seq = 0;
+  auto feed = [&](int blocks) {
+    for (int b = 0; b < blocks; ++b, seq += 8) {
+      for (SeqNo pair : {seq, seq + 2}) {
+        arrive(pair + 1, PacketType::kData);
+        arrive(pair, PacketType::kData);
+      }
+      for (SeqNo s = seq + 5; s < seq + 8; ++s) arrive(s, PacketType::kData);
+      arrive(seq + 4, PacketType::kRecovered);
+    }
+  };
+
+  feed(256);  // 2048 seqs: past kHistory, as in the in-order case.
+  const std::uint64_t recovered_before = receiver.stats().delivered_recovered;
+
+  alloc_probe::reset();
+  constexpr int kBlocks = 128;
+  feed(kBlocks);
+  const std::uint64_t allocs = alloc_probe::allocations();
+
+  EXPECT_EQ(receiver.stats().delivered_recovered - recovered_before, std::uint64_t{kBlocks});
+  EXPECT_EQ(receiver.stats().duplicates, 0u);
+  EXPECT_EQ(allocs, 0u) << "receiver out-of-order path hit the global allocator " << allocs
+                        << " times over " << kBlocks * 8 << " packets";
 }
 
 TEST(SteadyStateAlloc, RecoveryDcStoreAndExpireIsAllocationFree) {
