@@ -109,9 +109,11 @@ struct Packet {
   }
 };
 
-// Packets are passed by shared const pointer inside the simulator: a single
-// duplication at the sender fans one allocation out to the Internet path and
-// the cloud path, as the prototype's packet duplication does.
+// Packets are passed by shared const pointer inside the simulator, so a
+// packet is never copied after it is sent. The sender's duplication is two
+// packets, because each path writes its own header fields (service, dst,
+// final_dst): it deep-copies the app packet once for the direct path and
+// sends the original to the cloud.
 using PacketPtr = std::shared_ptr<const Packet>;
 
 // Convenience factories -------------------------------------------------

@@ -289,22 +289,19 @@ void Receiver::on_in_coded(const PacketPtr& pkt) {
   if (it == flows_.end()) return;
   FlowState& fs = it->second;
   const std::uint32_t batch_id = pkt->meta->batch_id;
-  auto [bit, inserted] = fs.in_coded.try_emplace(batch_id);
-  bit->second.push_back(pkt);
-  if (inserted) {
-    fs.in_coded_order.push_back(batch_id);
-    while (fs.in_coded_order.size() > 64) {
-      fs.in_coded.erase(fs.in_coded_order.front());
-      fs.in_coded_order.pop_front();
-    }
+  auto batch = std::find_if(fs.in_coded.begin(), fs.in_coded.end(),
+                            [batch_id](const InCodedBatch& b) { return b.batch_id == batch_id; });
+  if (batch == fs.in_coded.end()) {
+    if (fs.in_coded.size() == kInCodedBatches) fs.in_coded.erase(fs.in_coded.begin());
+    batch = fs.in_coded.insert(fs.in_coded.end(), InCodedBatch{batch_id, {}});
   }
-  try_self_decode(flow, fs, batch_id);
+  batch->coded.push_back(pkt);
+  try_self_decode(flow, fs, batch);
 }
 
-void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_id) {
-  auto bit = fs.in_coded.find(batch_id);
-  if (bit == fs.in_coded.end() || bit->second.empty()) return;
-  const CodedMeta& meta = *bit->second.front()->meta;
+void Receiver::try_self_decode(FlowId flow, FlowState& fs,
+                               std::vector<InCodedBatch>::iterator batch) {
+  const CodedMeta& meta = *batch->coded.front()->meta;
 
   present_scratch_.clear();
   wanted_scratch_.clear();
@@ -320,7 +317,7 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
   }
   if (wanted_scratch_.empty()) return;  // Nothing we still need from this batch.
 
-  auto recovered = fec::decode_batch(decode_arena_, meta, present_scratch_, bit->second);
+  auto recovered = fec::decode_batch(decode_arena_, meta, present_scratch_, batch->coded);
   if (!recovered) return;  // Not enough symbols yet; keep the coded packets.
 
   for (auto& rp : *recovered) {
@@ -336,8 +333,7 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
     deliver(flow, fs, packet, /*recovered=*/true, detected);
   }
   advance_window(fs);
-  fs.in_coded.erase(batch_id);
-  std::erase(fs.in_coded_order, batch_id);
+  fs.in_coded.erase(batch);
 }
 
 void Receiver::on_coop_request(const PacketPtr& pkt) {

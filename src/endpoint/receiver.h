@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
 #include <unordered_map>
@@ -210,6 +209,12 @@ class Receiver final : public netsim::Node {
     SimTime coop_deadline = 0;
   };
 
+  struct InCodedBatch {
+    std::uint32_t batch_id;
+    std::vector<PacketPtr> coded;
+  };
+  static constexpr std::size_t kInCodedBatches = 64;
+
   struct FlowState {
     SeqNo next_expected = 0;
     // One past the highest sequence number with delivery evidence; holes at
@@ -222,9 +227,9 @@ class Receiver final : public netsim::Node {
     // base are done; seqs past the window are unknown.
     FifoRing<Slot> window;
     SeqNo base = 0;
-    // In-stream coded packets by batch, kept until decode or eviction.
-    std::unordered_map<std::uint32_t, std::vector<PacketPtr>> in_coded;
-    std::deque<std::uint32_t> in_coded_order;
+    // In-stream coded packets by batch, oldest batch first, kept until
+    // decode or until kInCodedBatches newer batches evict them.
+    std::vector<InCodedBatch> in_coded;
     MarkovDetector detector;
     netsim::EventId timer = netsim::kNoEvent;  // Armed iff sim().pending(timer).
     SimTime last_arrival = -1;   // Last direct-path arrival (Markov input).
@@ -277,7 +282,7 @@ class Receiver final : public netsim::Node {
   void advance_window(FlowState& fs);
   void drop_coop_request(Slot& slot);
   PacketPtr coop_response(const Packet& request, const Packet& data);
-  void try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_id);
+  void try_self_decode(FlowId flow, FlowState& fs, std::vector<InCodedBatch>::iterator batch);
   bool give_up_stale(FlowId flow, FlowState& fs);
   void arm_timer(FlowId flow, FlowState& fs, SimDuration timeout);
 

@@ -1,6 +1,7 @@
 #include "endpoint/sender.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace jqos::endpoint {
 
@@ -55,31 +56,37 @@ SeqNo Sender::transmit(FlowId flow, FlowState& fs, std::shared_ptr<Packet> base)
   base->sent_at = now;
   base->ecn_capable = fs.policy.ecn_capable;
 
+  // Decide the cloud copy first: the duplicate filter sees the packet before
+  // either path's header fields are written.
+  bool cloud = fs.policy.duplicate_to_cloud && fs.policy.dc1 != kInvalidNode;
+  if (cloud && overlay_down_) {
+    // The overlay is unreachable; feeding it copies would only load the
+    // access link for packets a dead DC will black-hole.
+    ++stats_.cloud_suppressed;
+    cloud = false;
+  } else if (cloud && fs.policy.duplicate_filter && !fs.policy.duplicate_filter(*base)) {
+    ++stats_.filtered;
+    cloud = false;
+  }
+
+  // `base` itself is the last copy sent; the direct copy is a deep copy only
+  // when a cloud copy follows it.
   if ((fs.policy.send_direct || overlay_down_) && fs.policy.receiver != kInvalidNode) {
-    auto direct = net_.pool().acquire_copy(*base);
+    auto direct = cloud ? net_.pool().acquire_copy(*base) : std::move(base);
     direct->service = ServiceType::kNone;
     direct->dst = fs.policy.receiver;
     direct->final_dst = fs.policy.receiver;
     ++stats_.direct_sent;
     if (!fs.policy.send_direct) ++stats_.failover_direct_sent;
-    net_.send(node_id_, direct);
+    net_.send(node_id_, std::move(direct));
   }
 
-  if (overlay_down_ && fs.policy.duplicate_to_cloud && fs.policy.dc1 != kInvalidNode) {
-    // The overlay is unreachable; feeding it copies would only load the
-    // access link for packets a dead DC will black-hole.
-    ++stats_.cloud_suppressed;
-  } else if (fs.policy.duplicate_to_cloud && fs.policy.dc1 != kInvalidNode) {
-    if (fs.policy.duplicate_filter && !fs.policy.duplicate_filter(*base)) {
-      ++stats_.filtered;
-    } else {
-      auto cloud = net_.pool().acquire_copy(*base);
-      cloud->service = fs.policy.service;
-      cloud->dst = fs.policy.dc1;
-      cloud->final_dst = fs.policy.cloud_final_dst;
-      ++stats_.cloud_sent;
-      net_.send(node_id_, cloud);
-    }
+  if (cloud) {
+    base->service = fs.policy.service;
+    base->dst = fs.policy.dc1;
+    base->final_dst = fs.policy.cloud_final_dst;
+    ++stats_.cloud_sent;
+    net_.send(node_id_, std::move(base));
   }
   return seq;
 }

@@ -360,13 +360,12 @@ FlowId ScenarioShard::open_session(std::size_t path_index) {
 
 void ScenarioShard::close_session(std::size_t path_index, FlowId flow) {
   PathRuntime& rt = *paths_.at(path_index);
-  // Look the flow up BEFORE unwinding the registry entry: the encoder needs
-  // the dc2 group key, and its residual-queue flush re-reads the registry.
-  const services::FlowInfo* info = registry_->find(flow);
-  if (info != nullptr) {
+  // Tell the encoder BEFORE unwinding the registry entry: its residual-queue
+  // flush re-reads the registry.
+  if (registry_->find(flow) != nullptr) {
     for (std::size_t i = 0; i < overlay_->dc_count(); ++i) {
       if (&overlay_->dc(i) == rt.dc1) {
-        encoders_[i]->flow_departed(flow, info->dc2);
+        encoders_[i]->flow_departed(flow);
         break;
       }
     }

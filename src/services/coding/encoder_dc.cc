@@ -25,45 +25,55 @@ bool CodingEncoderService::handle(overlay::DataCenter& dc, const PacketPtr& pkt)
   }
   ++stats_.data_packets;
 
+  // A flow's first coded packet creates its record and counts it in its
+  // destination DC's group.
+  auto [it, first_packet] = flows_.try_emplace(pkt->flow);
+  FlowRec& rec = it->second;
+  if (first_packet) {
+    Group& group = groups_[info->dc2];
+    if (group.cross.empty()) group.cross.resize(std::max<std::size_t>(1, params_.queues_per_group));
+    ++group.flows;
+    rec.group = &group;
+  }
+
   // (1) In-stream coding (Algorithm 1 lines 1-5).
-  if (params_.in_coded > 0 && params_.in_block > 0) enqueue_in_stream(pkt);
+  if (params_.in_coded > 0 && params_.in_block > 0) enqueue_in_stream(pkt, rec, info->dc2);
 
   // (2) Cross-stream coding (Algorithm 1 lines 6-23). The destination DC is
   // derived from the flow (extract_dc2_id in the paper's pseudocode).
-  if (params_.cross_coded > 0 && params_.k > 0) enqueue_cross_stream(pkt, info->dc2);
+  if (params_.cross_coded > 0 && params_.k > 0) enqueue_cross_stream(pkt, rec, info->dc2);
   return true;
 }
 
-void CodingEncoderService::enqueue_in_stream(const PacketPtr& pkt) {
-  Queue& q = in_qs_[pkt->flow];
+void CodingEncoderService::enqueue_in_stream(const PacketPtr& pkt, FlowRec& rec, NodeId dc2) {
+  Queue& q = rec.in;
   q.pkts.push_back(pkt);
   if (q.pkts.size() >= params_.in_block) {
-    const FlowInfo* info = registry_->find(pkt->flow);
     ++stats_.in_batches;
-    encode_queue(q, params_.in_coded, PacketType::kInCoded, info->dc2);
+    encode_queue(q, params_.in_coded, PacketType::kInCoded, dc2);
   } else if (!dc_.network().sim().pending(q.timer)) {
-    arm_timer_in(pkt->flow);
+    arm_timer_in(rec, pkt->flow);
   }
 }
 
-void CodingEncoderService::enqueue_cross_stream(const PacketPtr& pkt, NodeId dc2) {
-  auto& queues = cross_qs_[dc2];
-  if (queues.empty()) queues.resize(std::max<std::size_t>(1, params_.queues_per_group));
-  group_flows_[dc2].insert(pkt->flow);
+void CodingEncoderService::enqueue_cross_stream(const PacketPtr& pkt, FlowRec& rec, NodeId dc2) {
+  std::vector<Queue>& queues = rec.group->cross;
   // Batches can hold at most one packet per flow, so a group with fewer
   // flows than k closes batches at the group size (>= 2; single-flow groups
   // fall back to the queue timer).
-  const std::size_t effective_k =
-      std::min(params_.k, std::max<std::size_t>(2, group_flows_[dc2].size()));
+  const std::size_t effective_k = std::min(params_.k, std::max<std::size_t>(2, rec.group->flows));
 
   // Round-robin queue choice for this flow (line 7).
-  std::size_t& cursor = rr_cursor_[pkt->flow];
-  std::size_t idx = cursor % queues.size();
-  cursor = (cursor + 1) % queues.size();
+  std::size_t idx = rec.cursor % queues.size();
+  rec.cursor = (rec.cursor + 1) % queues.size();
 
   // Find a queue without a packet from this flow (lines 9-12).
+  const auto holds_flow = [flow = pkt->flow](const Queue& q) {
+    return std::any_of(q.pkts.begin(), q.pkts.end(),
+                       [flow](const PacketPtr& p) { return p->flow == flow; });
+  };
   const std::size_t initial = idx;
-  while (queue_contains_flow(queues[idx], pkt->flow)) {
+  while (holds_flow(queues[idx])) {
     idx = (idx + 1) % queues.size();
     if (idx == initial) {
       // Every queue holds one of our packets (lines 13-19): flush the
@@ -90,13 +100,13 @@ void CodingEncoderService::enqueue_cross_stream(const PacketPtr& pkt, NodeId dc2
     ++stats_.cross_batches;
     encode_queue(q, params_.cross_coded, PacketType::kCrossCoded, dc2);  // Lines 21-23.
   } else if (!dc_.network().sim().pending(q.timer)) {
-    arm_timer_cross(dc2, idx);
+    arm_timer_cross(q, dc2);
   }
 }
 
 bool CodingEncoderService::peer_sendable(NodeId dc2) {
   if (!peer_health_) return true;
-  PeerState& peer = peers_[dc2];
+  Group& peer = groups_[dc2];
   if (!peer.suspended) {
     if (peer_health_(dc2)) return true;
     // First flush to find the DC dead: suspend and start the backoff clock.
@@ -154,79 +164,61 @@ void CodingEncoderService::encode_queue(Queue& q, std::size_t coded, PacketType 
 }
 
 // Every path that empties or erases a queue disarms it first, so a firing
-// queue timer always finds its queue present and non-empty.
-void CodingEncoderService::arm_timer_in(FlowId flow) {
-  Queue& q = in_qs_[flow];
-  disarm(q);
-  q.timer = dc_.network().sim().after(params_.queue_timeout, [this, flow] {
-    Queue& queue = in_qs_.at(flow);
+// queue timer always finds its queue present and non-empty. The timers hold
+// references into flows_ and groups_: map nodes never move, and a group's
+// cross queues are sized once, when the group is created.
+void CodingEncoderService::arm_timer_in(FlowRec& rec, FlowId flow) {
+  disarm(rec.in);
+  rec.in.timer = dc_.network().sim().after(params_.queue_timeout, [this, &rec, flow] {
     const FlowInfo* info = registry_->find(flow);
     if (info == nullptr) {
-      queue.pkts.clear();
+      rec.in.pkts.clear();
       return;
     }
     ++stats_.timer_flushes;
     ++stats_.in_batches;
-    encode_queue(queue, params_.in_coded, PacketType::kInCoded, info->dc2);
+    encode_queue(rec.in, params_.in_coded, PacketType::kInCoded, info->dc2);
   });
 }
 
-void CodingEncoderService::arm_timer_cross(NodeId dc2, std::size_t index) {
-  Queue& q = cross_qs_.at(dc2)[index];
+void CodingEncoderService::arm_timer_cross(Queue& q, NodeId dc2) {
   disarm(q);
-  q.timer = dc_.network().sim().after(params_.queue_timeout, [this, dc2, index] {
+  q.timer = dc_.network().sim().after(params_.queue_timeout, [this, &q, dc2] {
     ++stats_.timer_flushes;
     ++stats_.cross_batches;
-    encode_queue(cross_qs_.at(dc2)[index], params_.cross_coded, PacketType::kCrossCoded, dc2);
+    encode_queue(q, params_.cross_coded, PacketType::kCrossCoded, dc2);
   });
 }
 
 void CodingEncoderService::disarm(Queue& q) { dc_.network().sim().cancel(q.timer); }
 
-bool CodingEncoderService::queue_contains_flow(const Queue& q, FlowId flow) const {
-  return std::any_of(q.pkts.begin(), q.pkts.end(),
-                     [flow](const PacketPtr& p) { return p->flow == flow; });
-}
-
-void CodingEncoderService::flow_departed(FlowId flow, NodeId dc2) {
+void CodingEncoderService::flow_departed(FlowId flow) {
   ++stats_.flow_departures;
-  auto in_it = in_qs_.find(flow);
-  if (in_it != in_qs_.end()) {
-    if (!in_it->second.pkts.empty()) {
-      const FlowInfo* info = registry_->find(flow);
-      if (info != nullptr) {
-        ++stats_.in_batches;
-        encode_queue(in_it->second, params_.in_coded, PacketType::kInCoded, info->dc2);
-      } else {
-        disarm(in_it->second);
-      }
-    } else {
-      disarm(in_it->second);
-    }
-    in_qs_.erase(flow);
+  auto it = flows_.find(flow);
+  if (it == flows_.end()) return;
+  Queue& q = it->second.in;
+  const FlowInfo* info = registry_->find(flow);
+  if (!q.pkts.empty() && info != nullptr) {
+    ++stats_.in_batches;
+    encode_queue(q, params_.in_coded, PacketType::kInCoded, info->dc2);
+  } else {
+    disarm(q);
   }
-  rr_cursor_.erase(flow);
-  auto grp = group_flows_.find(dc2);
-  if (grp != group_flows_.end()) {
-    grp->second.erase(flow);
-    if (grp->second.empty()) group_flows_.erase(grp);
-  }
+  --it->second.group->flows;
+  flows_.erase(it);
 }
 
 void CodingEncoderService::on_dc_crash() {
   ++stats_.crash_wipes;
   // Everything staged in process memory is gone, and so are the queue
-  // timers: disarm() cancels each one before its queue is erased.
-  for (auto& [flow, q] : in_qs_) disarm(q);
-  in_qs_.clear();
-  for (auto& [dc2, queues] : cross_qs_) {
-    for (Queue& q : queues) disarm(q);
+  // timers: disarm() cancels each one before its record is erased. A
+  // restarted process has no memory of suspended peers either.
+  for (auto& [flow, rec] : flows_) disarm(rec.in);
+  for (auto& [dc2, group] : groups_) {
+    for (Queue& q : group.cross) disarm(q);
   }
-  cross_qs_.clear();
-  rr_cursor_.clear();
-  group_flows_.clear();
-  // A restarted process has no memory of suspended peers either.
-  peers_.clear();
+  flows_.clear();
+  groups_.clear();
   // next_batch_id_ deliberately survives: it models the id namespace, not
   // state -- reusing ids would alias live batches at the recovery DC.
 }
@@ -236,13 +228,8 @@ void CodingEncoderService::flush_all() {
   // path-registration order, so the flush sequence -- and therefore the
   // send order on shared inter-DC links -- is identical whether this
   // encoder serves one experiment shard or the monolithic run.
-  std::vector<FlowId>& flows = flush_scratch_;
-  flows.clear();
-  flows.reserve(in_qs_.size());
-  for (const auto& [flow, q] : in_qs_) flows.push_back(flow);
-  std::sort(flows.begin(), flows.end());
-  for (FlowId flow : flows) {
-    Queue& q = in_qs_[flow];
+  for (auto& [flow, rec] : flows_) {
+    Queue& q = rec.in;
     if (q.pkts.empty()) continue;
     const FlowInfo* info = registry_->find(flow);
     if (info == nullptr) {
@@ -253,8 +240,8 @@ void CodingEncoderService::flush_all() {
     ++stats_.in_batches;
     encode_queue(q, params_.in_coded, PacketType::kInCoded, info->dc2);
   }
-  for (auto& [dc2, queues] : cross_qs_) {
-    for (Queue& q : queues) {
+  for (auto& [dc2, group] : groups_) {
+    for (Queue& q : group.cross) {
       if (q.pkts.empty()) continue;
       ++stats_.cross_batches;
       encode_queue(q, params_.cross_coded, PacketType::kCrossCoded, dc2);

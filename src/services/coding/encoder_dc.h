@@ -1,19 +1,18 @@
 // CR-WAN encoding at the ingress DC (DC1) -- Algorithm 1 of the paper.
 //
-// DC1 keeps two sets of queues: an in-stream queue per flow, and a set of
-// cross-stream queues per destination DC. An arriving data packet is copied
-// into one queue of each type; full queues are encoded into coded packets
-// (Reed-Solomon) and shipped to DC2 over the inter-DC path. Round-robin
-// placement avoids putting two packets of the same flow in one cross-stream
-// queue (Algorithm 1 lines 9-19); per-queue timers flush slow queues so one
-// fast flow is never held hostage by slow peers (Section 4.3).
+// DC1 keeps one record per flow (its in-stream queue and round-robin cursor)
+// and one per destination DC (its cross-stream queues, live-flow count and
+// suspension state). An arriving data packet is copied into one queue of
+// each type; full queues are encoded into coded packets (Reed-Solomon) and
+// shipped to DC2 over the inter-DC path. Round-robin placement avoids
+// putting two packets of the same flow in one cross-stream queue (Algorithm
+// 1 lines 9-19); per-queue timers flush slow queues so one fast flow is
+// never held hostage by slow peers (Section 4.3).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "fec/coded_batch.h"
@@ -80,15 +79,14 @@ class CodingEncoderService final : public overlay::DcService {
   void flush_all();
 
   // Session teardown (churn workloads): encodes any residual in-stream
-  // queue for the departing flow, then reclaims all state keyed by it --
-  // the in-stream queue, the round-robin cursor, and its membership in the
-  // dc2 group (shrinking the effective cross-batch size back down as the
-  // population drains). Packets of the flow already sitting in cross
-  // queues are left to flush on their timers; the coded batch remains
-  // decodable because CodedMeta names (flow, seq) pairs explicitly. Must
-  // be called BEFORE the flow leaves the registry (the residual flush
-  // looks it up). O(1) amortized; keeps encoder memory O(live flows).
-  void flow_departed(FlowId flow, NodeId dc2);
+  // queue for the departing flow, then erases its record and decrements its
+  // group's live-flow count (shrinking the effective cross-batch size back
+  // down as the population drains). Packets of the flow already sitting in
+  // cross queues are left to flush on their timers; the coded batch remains
+  // decodable because CodedMeta names (flow, seq) pairs explicitly. Must be
+  // called BEFORE the flow leaves the registry (the residual flush looks it
+  // up). O(log flows); keeps encoder memory O(live flows).
+  void flow_departed(FlowId flow);
 
   const EncoderStats& stats() const { return stats_; }
   const CodingParams& params() const { return params_; }
@@ -105,10 +103,11 @@ class CodingEncoderService final : public overlay::DcService {
     peer_health_ = std::move(oracle);
   }
 
-  // Fault layer: a DC1 crash loses every staged queue (the packets were in
-  // process memory), the round-robin cursors, and the group membership; the
-  // batch-id counter survives conceptually as a new process instance never
-  // reuses ids (monotonic namespace per DC).
+  // Fault layer: a DC1 crash loses every flow and group record -- staged
+  // queues (the packets were in process memory), round-robin cursors, group
+  // populations and peer suspensions; the batch-id counter survives
+  // conceptually as a new process instance never reuses ids (monotonic
+  // namespace per DC).
   void on_dc_crash() override;
 
  private:
@@ -117,8 +116,31 @@ class CodingEncoderService final : public overlay::DcService {
     netsim::EventId timer = netsim::kNoEvent;  // Armed iff sim().pending(timer).
   };
 
-  void enqueue_in_stream(const PacketPtr& pkt);
-  void enqueue_cross_stream(const PacketPtr& pkt, NodeId dc2);
+  // Per destination DC.
+  struct Group {
+    std::vector<Queue> cross;  // queues_per_group cross-stream queues.
+    // Live flows toward this DC. A group with fewer live flows than k can
+    // never fill a k-batch (no two packets of one flow share a batch), so
+    // the effective batch size adapts to the group population -- the "pick
+    // a further subset of flows" step of Section 4.1.
+    std::size_t flows = 0;
+    // Lazy (event-free) suspension state; see peer_sendable(). retry_at is
+    // the earliest time the next flush attempt toward a suspended DC will
+    // actually probe it.
+    bool suspended = false;
+    SimTime retry_at = 0;
+    SimDuration backoff = 0;
+  };
+
+  // Per flow, from its first coded packet until flow_departed or a crash.
+  struct FlowRec {
+    Queue in;                // In-stream queue.
+    std::size_t cursor = 0;  // Round-robin cursor (Algorithm 1 line 7).
+    Group* group = nullptr;  // Counted in group->flows; map nodes never move.
+  };
+
+  void enqueue_in_stream(const PacketPtr& pkt, FlowRec& rec, NodeId dc2);
+  void enqueue_cross_stream(const PacketPtr& pkt, FlowRec& rec, NodeId dc2);
 
   // Encodes and clears one queue; `coded` many parity packets go to `dc2`.
   // Runs on the zero-copy BatchEncoder path: the per-instance arena and the
@@ -127,15 +149,13 @@ class CodingEncoderService final : public overlay::DcService {
   // themselves.
   void encode_queue(Queue& q, std::size_t coded, PacketType type, NodeId dc2);
 
-  void arm_timer_in(FlowId flow);
-  void arm_timer_cross(NodeId dc2, std::size_t index);
+  void arm_timer_in(FlowRec& rec, FlowId flow);
+  void arm_timer_cross(Queue& q, NodeId dc2);
   void disarm(Queue& q);
 
   // True when a batch toward dc2 should be shipped now; false drops it
   // (suppressed flush) and advances the suspension/backoff state machine.
   bool peer_sendable(NodeId dc2);
-
-  bool queue_contains_flow(const Queue& q, FlowId flow) const;
 
   overlay::DataCenter& dc_;
   CodingParams params_;
@@ -147,30 +167,13 @@ class CodingEncoderService final : public overlay::DcService {
   // later batch frames and encodes without touching the allocator.
   fec::BatchEncoder encoder_;
   std::vector<PacketPtr> coded_scratch_;
-  // flush_all ordering scratch (services run on one lane; never reentrant).
-  std::vector<FlowId> flush_scratch_;
 
-  std::unordered_map<FlowId, Queue> in_qs_;
-  // Destination DC -> fixed-size vector of cross-stream queues.
-  std::map<NodeId, std::vector<Queue>> cross_qs_;
-  // Round-robin cursor per flow (Algorithm 1 line 7).
-  std::unordered_map<FlowId, std::size_t> rr_cursor_;
-  // Flows observed per destination-DC group. A group with fewer live flows
-  // than k can never fill a k-batch (no two packets of one flow share a
-  // batch), so the effective batch size adapts to the group population --
-  // the "pick a further subset of flows" step of Section 4.1.
-  std::map<NodeId, std::set<FlowId>> group_flows_;
+  // Ordered by id, so flush_all walks flows in ascending FlowId and groups
+  // in ascending NodeId.
+  std::map<FlowId, FlowRec> flows_;
+  std::map<NodeId, Group> groups_;
 
-  // Lazy (event-free) suspension state per destination DC; see
-  // peer_sendable(). retry_at is the earliest time the next flush attempt
-  // toward a suspended DC will actually probe it.
-  struct PeerState {
-    bool suspended = false;
-    SimTime retry_at = 0;
-    SimDuration backoff = 0;
-  };
   std::function<bool(NodeId)> peer_health_;
-  std::map<NodeId, PeerState> peers_;
 
   EncoderStats stats_;
 };

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "netsim/network.h"
 #include "overlay/datacenter.h"
@@ -263,6 +264,134 @@ TEST(Encoder, FlushAllEmitsEverythingPending) {
   f.encoder->flush_all();
   f.sim.run_until(sec(1));
   EXPECT_GT(f.collector->coded.size(), before);
+}
+
+TEST(Encoder, DepartureShrinksEffectiveKToLiveFlows) {
+  CodingParams p = small_params();
+  p.in_coded = 0;           // Cross-stream only.
+  p.queues_per_group = 1;   // Every packet lands in the one cross queue.
+  Fixture f(p);
+  f.register_flows(4);
+  for (FlowId flow = 1; flow <= 4; ++flow) f.offer(flow, 0);
+  f.encoder->flush_all();
+  const auto batches = [&f] { return f.encoder->stats().cross_batches; };
+
+  // Four live flows: three packets leave the k=4 batch open.
+  std::uint64_t before = batches();
+  for (FlowId flow = 1; flow <= 3; ++flow) f.offer(flow, 1);
+  EXPECT_EQ(batches(), before);
+  f.encoder->flush_all();
+
+  // Three live flows: the third packet closes the batch.
+  f.encoder->flow_departed(4);
+  EXPECT_EQ(f.encoder->stats().flow_departures, 1u);
+  before = batches();
+  for (FlowId flow = 1; flow <= 3; ++flow) f.offer(flow, 2);
+  EXPECT_EQ(batches(), before + 1);
+  f.sim.run_until(msec(100));
+  EXPECT_EQ(f.encoder->stats().timer_flushes, 0u);
+  ASSERT_FALSE(f.collector->coded.empty());
+  EXPECT_EQ(f.collector->coded.back()->meta->k, 3);
+}
+
+TEST(Encoder, FlushAllEmitsInStreamBatchesInAscendingFlowId) {
+  CodingParams p = small_params();
+  p.cross_coded = 0;  // In-stream only.
+  Fixture f(p);
+  const std::vector<FlowId> arrival = {65, 7, 100, 3, 42};
+  for (FlowId flow : arrival) f.registry->register_flow(flow, FlowInfo{f.dc2.id(), 1000 + flow});
+  for (FlowId flow : arrival) f.offer(flow, 0);
+  f.encoder->flush_all();
+  f.sim.run_until(msec(100));
+
+  std::vector<FlowId> order;
+  for (const auto& c : f.collector->coded) {
+    ASSERT_EQ(c->type, PacketType::kInCoded);
+    order.push_back(c->meta->covered.front().flow);
+  }
+  EXPECT_EQ(order, (std::vector<FlowId>{3, 7, 42, 65, 100}));
+}
+
+TEST(Encoder, DeadPeerIsSuspendedAndItsFlushesSuppressed) {
+  Fixture f(small_params());
+  f.register_flows(4);
+  f.encoder->set_peer_health([&f](NodeId dc) { return dc != f.dc2.id(); });
+  for (SeqNo s = 0; s < 5; ++s) {
+    for (FlowId flow = 1; flow <= 4; ++flow) f.offer(flow, s);
+  }
+  f.encoder->flush_all();
+  f.sim.run_until(sec(1));
+
+  const EncoderStats& st = f.encoder->stats();
+  EXPECT_EQ(st.peer_suspends, 1u);
+  EXPECT_EQ(st.peer_probes, 0u);  // Every flush fell inside the first backoff.
+  EXPECT_GT(st.in_batches, 0u);
+  EXPECT_GT(st.cross_batches, 0u);
+  EXPECT_EQ(st.flushes_suppressed, st.in_batches + st.cross_batches);
+  EXPECT_EQ(st.coded_sent, 0u);
+  EXPECT_TRUE(f.collector->coded.empty());
+}
+
+TEST(Encoder, DeadPeerIsProbedWithCappedDoublingBackoffThenReengaged) {
+  CodingParams p = small_params();
+  p.cross_coded = 0;  // In-stream only, and in_block = 1: every packet is
+  p.in_block = 1;     // one flush attempt at the time it is offered.
+  p.peer_backoff_base = msec(100);
+  p.peer_backoff_cap = msec(400);
+  Fixture f(p);
+  f.register_flows(1);
+  bool healthy = false;
+  f.encoder->set_peer_health([&healthy](NodeId) { return healthy; });
+  const EncoderStats& st = f.encoder->stats();
+  SeqNo seq = 0;
+  // One flush attempt at `ms`; returns the probe count after it.
+  auto flush_at = [&](int ms) {
+    f.sim.run_until(msec(ms));
+    f.offer(1, seq++);
+    return st.peer_probes;
+  };
+
+  EXPECT_EQ(flush_at(0), 0u);  // Suspended: backoff 100 ms.
+  EXPECT_EQ(st.peer_suspends, 1u);
+  EXPECT_EQ(flush_at(99), 0u);
+  EXPECT_EQ(flush_at(100), 1u);  // Dead: backoff 200 ms.
+  EXPECT_EQ(flush_at(299), 1u);
+  EXPECT_EQ(flush_at(300), 2u);  // Dead: backoff 400 ms (the cap).
+  EXPECT_EQ(flush_at(699), 2u);
+  EXPECT_EQ(flush_at(700), 3u);  // Dead: backoff stays at 400 ms.
+  EXPECT_EQ(flush_at(1099), 3u);
+  EXPECT_EQ(flush_at(1100), 4u);
+  EXPECT_EQ(st.flushes_suppressed, 9u);
+  EXPECT_EQ(st.coded_sent, 0u);
+
+  healthy = true;
+  EXPECT_EQ(flush_at(1499), 4u);  // Healthy, but not probed before retry_at.
+  EXPECT_EQ(st.flushes_suppressed, 10u);
+  EXPECT_EQ(flush_at(1500), 5u);  // The probe finds it healthy.
+  EXPECT_EQ(st.peer_reengages, 1u);
+  EXPECT_EQ(st.coded_sent, 1u);
+  EXPECT_EQ(flush_at(1501), 5u);  // Re-engaged: no further probes.
+  EXPECT_EQ(st.coded_sent, 2u);
+  EXPECT_EQ(st.flushes_suppressed, 10u);
+  EXPECT_EQ(st.peer_suspends, 1u);
+}
+
+TEST(Encoder, CrashForgetsGroupPopulation) {
+  CodingParams p = small_params();
+  p.in_coded = 0;
+  p.queues_per_group = 1;
+  Fixture f(p);
+  f.register_flows(4);
+  for (FlowId flow = 1; flow <= 4; ++flow) f.offer(flow, 0);
+  f.encoder->flush_all();
+
+  f.encoder->on_dc_crash();
+  // The restarted encoder relearns the group from zero: two live flows
+  // close a batch at k = 2, where the forgotten four would have held it open.
+  const std::uint64_t before = f.encoder->stats().cross_batches;
+  f.offer(1, 1);
+  f.offer(2, 1);
+  EXPECT_EQ(f.encoder->stats().cross_batches, before + 1);
 }
 
 }  // namespace

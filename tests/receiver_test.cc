@@ -40,7 +40,6 @@ struct Fixture {
 
   explicit Fixture(ReceiverConfig config = {}) {
     config.dc2 = dc.id();
-    if (config.rtt_estimate == msec(100)) config.rtt_estimate = msec(100);
     receiver = std::make_unique<Receiver>(
         net, config,
         [this](const DeliveryRecord& rec, const PacketPtr&) { records.push_back(rec); });
@@ -332,6 +331,37 @@ TEST(Receiver, SelfDecodesInStreamCodedPacket) {
     }
   }
   EXPECT_TRUE(seq2_delivered);
+}
+
+TEST(Receiver, InStreamBatchIsEvictedByTheSixtyFourthNewerBatch) {
+  // In-stream batch 900 covers seqs 0-4 with two coded packets. Seqs 1 and
+  // 2 are lost, so decoding needs both coded packets; `newer` other batches
+  // arrive between the first and the second.
+  auto in_batch = [](std::uint32_t batch_id, SeqNo first) {
+    std::vector<PacketPtr> data;
+    for (SeqNo s = first; s < first + 5; ++s) {
+      auto p = std::make_shared<Packet>();
+      p->flow = 1;
+      p->seq = s;
+      p->payload.assign(32, static_cast<std::uint8_t>(s * 3));
+      data.push_back(p);
+    }
+    return fec::encode_batch(data, 2, PacketType::kInCoded, batch_id, 99, 0, 0);
+  };
+  auto self_decoded_after = [&](std::uint32_t newer) {
+    Fixture f;
+    const auto batch = in_batch(900, 0);
+    for (SeqNo s : {0, 3, 4}) f.arrive(s);
+    f.receiver->handle_packet(batch[0]);
+    // Newer batches cover seqs the receiver has not reached; they stay held.
+    for (std::uint32_t i = 1; i <= newer; ++i) {
+      f.receiver->handle_packet(in_batch(900 + i, 100 + 5 * i)[0]);
+    }
+    f.receiver->handle_packet(batch[1]);
+    return f.receiver->stats().self_decoded;
+  };
+  EXPECT_EQ(self_decoded_after(63), 2u);  // Still held: the second packet completes it.
+  EXPECT_EQ(self_decoded_after(64), 0u);  // Evicted: the second packet alone cannot decode.
 }
 
 TEST(Receiver, TailLossDetectedByShortTimer) {

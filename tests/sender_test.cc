@@ -2,8 +2,11 @@
 // path switching, and per-flow sequence numbering.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "endpoint/sender.h"
 #include "netsim/network.h"
+#include "test_guards.h"
 
 namespace jqos::endpoint {
 namespace {
@@ -99,6 +102,57 @@ TEST(Sender, SelectiveDuplicationFilter) {
   EXPECT_EQ(f.receiver.received.size(), 8u);
   EXPECT_EQ(f.dc1.received.size(), 2u);  // Seqs 0 and 4.
   EXPECT_EQ(f.sender.stats().filtered, 6u);
+}
+
+TEST(Sender, PoolAcquiresPerAppPacketMatchThePathsUsed) {
+  // A disabled pool counts no acquires; pin pooling on before the Network.
+  const jqos::testing::EnvVarGuard pool_on("JQOS_OBJ_POOL", std::string("1"));
+  Fixture f;
+  SenderPolicy switched = f.base_policy(ServiceType::kForward);
+  switched.send_direct = false;
+  SenderPolicy internet = f.base_policy(ServiceType::kNone);
+  internet.duplicate_to_cloud = false;
+  SenderPolicy filtered = f.base_policy(ServiceType::kCode);
+  Packet seen_by_filter;
+  filtered.duplicate_filter = [&seen_by_filter](const Packet& pkt) {
+    seen_by_filter = pkt;
+    return false;
+  };
+  f.sender.register_flow(1, f.base_policy(ServiceType::kCode));
+  f.sender.register_flow(2, switched);
+  f.sender.register_flow(3, internet);
+  f.sender.register_flow(4, filtered);
+  const PacketPool& pool = f.net.pool();
+  auto acquires_for_one_send = [&](FlowId flow) {
+    const std::uint64_t before = pool.fresh() + pool.reused();
+    f.sender.send(flow, 512);
+    return pool.fresh() + pool.reused() - before;
+  };
+
+  EXPECT_EQ(acquires_for_one_send(1), 2u);  // The direct copy, then the original to DC1.
+  EXPECT_EQ(acquires_for_one_send(2), 1u);
+  EXPECT_EQ(acquires_for_one_send(3), 1u);
+  EXPECT_EQ(acquires_for_one_send(4), 1u);
+  f.sender.set_overlay_down(true);
+  EXPECT_EQ(acquires_for_one_send(1), 1u);  // Failover: direct only.
+
+  // The filter saw the app packet before either path's header was written.
+  EXPECT_EQ(seen_by_filter.flow, 4u);
+  EXPECT_EQ(seen_by_filter.service, ServiceType::kNone);
+  EXPECT_EQ(seen_by_filter.dst, kInvalidNode);
+  EXPECT_EQ(seen_by_filter.final_dst, kInvalidNode);
+
+  f.sim.run();
+  ASSERT_EQ(f.receiver.received.size(), 4u);  // Flows 1, 3, 4 and the failover.
+  ASSERT_EQ(f.dc1.received.size(), 2u);       // Flows 1 and 2.
+  for (const auto& p : f.receiver.received) {
+    EXPECT_EQ(p->service, ServiceType::kNone);
+    EXPECT_EQ(p->dst, f.receiver.id());
+  }
+  EXPECT_EQ(f.dc1.received[0]->flow, 1u);
+  EXPECT_EQ(f.dc1.received[0]->service, ServiceType::kCode);
+  EXPECT_EQ(f.dc1.received[1]->service, ServiceType::kForward);
+  EXPECT_EQ(f.dc1.received[1]->final_dst, f.receiver.id());
 }
 
 TEST(Sender, SequenceNumbersPerFlow) {

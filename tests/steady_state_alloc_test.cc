@@ -18,6 +18,7 @@
 #include "netsim/loss_model.h"
 #include "netsim/network.h"
 #include "overlay/datacenter.h"
+#include "services/coding/encoder_dc.h"
 #include "services/coding/recovery_dc.h"
 #include "test_guards.h"
 
@@ -234,6 +235,71 @@ TEST(SteadyStateAlloc, RecoveryDcStoreAndExpireIsAllocationFree) {
   EXPECT_EQ(recovery->stats().batches_expired - expired_before, stored);
   EXPECT_EQ(allocs, 0u) << "DC2 store/expire hit the global allocator " << allocs
                         << " times over " << stored << " batches";
+}
+
+TEST(SteadyStateAlloc, EncoderIngressIsAllocationFree) {
+  if (!alloc_probe::active()) {
+    GTEST_SKIP() << "alloc probe inactive (sanitizer build owns the heap)";
+  }
+
+  const EvqBackendGuard evq(netsim::EvqBackend::kHeap);
+  const EnvVarGuard pool_on("JQOS_OBJ_POOL", std::string("1"));
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  overlay::DataCenter dc1(net, 1, "dc1");
+  struct CountingSink final : netsim::Node {
+    explicit CountingSink(netsim::Network& n) : id_(n.allocate_id()) { n.attach(*this); }
+    NodeId id() const override { return id_; }
+    void handle_packet(const PacketPtr&) override { ++received; }
+    NodeId id_;
+    std::uint64_t received = 0;
+  } dc2(net);
+  net.add_link(dc1.id(), dc2.id(), netsim::make_fixed_latency(msec(5)), netsim::make_no_loss());
+  auto registry = std::make_shared<services::FlowRegistry>();
+  constexpr FlowId kFlows = 8;
+  for (FlowId f = 1; f <= kFlows; ++f) registry->register_flow(f, services::FlowInfo{dc2.id(), 0});
+  // Default CodingParams: in-stream blocks of 5 and cross-stream batches of
+  // k = 6 over 4 round-robin queues, so both kinds of queue fill and encode.
+  auto encoder =
+      std::make_shared<services::CodingEncoderService>(dc1, services::CodingParams{}, registry);
+  dc1.install(encoder);
+
+  // Per millisecond, one coded-service data packet of each flow.
+  SeqNo seq = 0;
+  auto pump = [&](int ms) {
+    for (int i = 0; i < ms; ++i, ++seq) {
+      for (FlowId f = 1; f <= kFlows; ++f) {
+        auto pkt = net.pool().acquire();
+        pkt->type = PacketType::kData;
+        pkt->service = ServiceType::kCode;
+        pkt->flow = f;
+        pkt->seq = seq;
+        pkt->dst = dc1.id();
+        pkt->final_dst = dc1.id();
+        pkt->payload.assign(256, 0x5a);
+        dc1.handle_packet(pkt);
+      }
+      sim.run_until(sim.now() + msec(1));
+    }
+  };
+
+  // Warmup: every flow record, queue vector, the encoder's arena and the
+  // pool reach their steady footprint.
+  pump(512);
+
+  const services::EncoderStats before = encoder->stats();
+  alloc_probe::reset();
+  constexpr int kMs = 512;
+  pump(kMs);
+  const std::uint64_t allocs = alloc_probe::allocations();
+  const services::EncoderStats& after = encoder->stats();
+
+  EXPECT_EQ(after.data_packets - before.data_packets, kMs * kFlows);
+  EXPECT_GT(after.in_batches, before.in_batches);
+  EXPECT_GT(after.cross_batches, before.cross_batches);
+  EXPECT_GT(dc2.received, 0u);
+  EXPECT_EQ(allocs, 0u) << "DC1 ingress hit the global allocator " << allocs << " times over "
+                        << kMs * kFlows << " packets";
 }
 
 }  // namespace
