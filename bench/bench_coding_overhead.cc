@@ -46,7 +46,7 @@ std::vector<PacketPtr> make_micro_batch(std::size_t k) {
   Rng rng(42);
   std::vector<PacketPtr> pkts;
   for (std::size_t i = 0; i < k; ++i) {
-    auto p = std::make_shared<Packet>();
+    auto p = new_packet();
     p->flow = static_cast<FlowId>(i + 1);
     p->seq = static_cast<SeqNo>(i);
     p->payload.resize(kMicroPayload);
@@ -100,7 +100,7 @@ std::vector<EncodePathPoint> run_encode_paths(std::size_t k, std::size_t r,
 
   fec::BatchEncoder enc;
   PacketPool pool;
-  std::vector<PacketPtr> out;
+  std::vector<PacketMut> out;
   points.push_back(measure_path("zero_copy", k, r, window_ms, [&] {
     out.clear();
     enc.encode_into(pkts, r, PacketType::kCrossCoded, batch_id++, 1, 2, 0, out, pool);

@@ -53,7 +53,7 @@ std::uint64_t run_case(bool use_markov, std::uint64_t seed) {
       for (int i = 0; i < 10; ++i) {
         const SeqNo s = seq++;
         sim.at(t, [&receiver, s, t] {
-          auto p = std::make_shared<Packet>();
+          auto p = new_packet();
           p->type = PacketType::kData;
           p->flow = 1;
           p->seq = s;

@@ -60,7 +60,7 @@ int main() {
     NackInfo info;
     info.tail = true;
     info.expected = 0;
-    auto nack = std::make_shared<Packet>();
+    auto nack = new_packet();
     nack->type = PacketType::kNack;
     nack->service = ServiceType::kCache;
     nack->flow = 1;

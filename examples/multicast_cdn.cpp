@@ -97,7 +97,7 @@ int main() {
     sim.at(sec(40) + msec(5) * i, [&sender, &net, &receivers] {
       // The "Internet multicast": one direct copy per receiver...
       const SeqNo seq = sender.send(2, 512);
-      auto base = std::make_shared<Packet>();
+      auto base = new_packet();
       base->type = PacketType::kData;
       base->flow = 2;
       base->seq = seq;
@@ -105,7 +105,7 @@ int main() {
       base->sent_at = net.sim().now();
       base->payload.assign(512, 0);
       for (auto& r : receivers) {
-        auto copy = std::make_shared<Packet>(*base);
+        auto copy = new_packet(*base);
         copy->dst = r->id();
         copy->final_dst = r->id();
         net.send(sender.id(), copy);

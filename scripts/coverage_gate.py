@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Line-coverage gate for the simulation core, endpoints and in-cloud
-services (src/netsim, src/exp, src/endpoint, src/services).
+"""Line-coverage gate for the simulation core, endpoints, in-cloud services
+and the shared packet/pool layer (src/netsim, src/exp, src/endpoint,
+src/services, src/common).
 
 Runs gcov over every .gcda the coverage-preset test run produced, unions the
 per-line execution counts across translation units (a header inlined into
@@ -26,7 +27,7 @@ import subprocess
 import sys
 import tempfile
 
-GATED_DIRS = ("src/netsim", "src/exp", "src/endpoint", "src/services")
+GATED_DIRS = ("src/netsim", "src/exp", "src/endpoint", "src/services", "src/common")
 BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "coverage_baseline.json")
 

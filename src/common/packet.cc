@@ -150,10 +150,8 @@ std::optional<Packet> Packet::parse(std::span<const std::uint8_t> data) {
   return p;
 }
 
-std::shared_ptr<Packet> make_packet(PacketPool& pool, PacketType type,
-                                    ServiceType service, FlowId flow,
-                                    SeqNo seq, NodeId src, NodeId dst,
-                                    SimTime now) {
+PacketMut make_packet(PacketPool& pool, PacketType type, ServiceType service,
+                      FlowId flow, SeqNo seq, NodeId src, NodeId dst, SimTime now) {
   auto p = pool.acquire();
   p->type = type;
   p->service = service;

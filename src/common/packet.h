@@ -13,10 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -68,6 +69,12 @@ struct CodedMeta {
   friend bool operator==(const CodedMeta&, const CodedMeta&) = default;
 };
 
+// The pool core a pooled packet goes home to (common/packet_pool.cc).
+struct PacketPoolCore;
+
+template <typename T>
+class PacketRef;
+
 struct Packet {
   PacketType type = PacketType::kData;
   ServiceType service = ServiceType::kNone;
@@ -107,14 +114,116 @@ struct Packet {
   bool is_coded() const {
     return type == PacketType::kInCoded || type == PacketType::kCrossCoded;
   }
+
+ private:
+  template <typename T>
+  friend class PacketRef;
+  friend struct PacketPoolCore;
+  friend void release_packet(Packet* p) noexcept;
+
+  // Who holds this packet: the count of PacketRef handles and the pool it
+  // returns to (null: a heap packet, deleted by its last handle). Copying a
+  // Packet copies neither: a copy is a new packet that nobody holds yet.
+  struct Anchor {
+    Anchor() = default;
+    Anchor(const Anchor&) noexcept {}
+    Anchor& operator=(const Anchor&) noexcept { return *this; }
+    mutable std::uint32_t refs = 0;
+    PacketPoolCore* home = nullptr;
+  };
+  Anchor anchor_;
 };
 
-// Packets are passed by shared const pointer inside the simulator, so a
-// packet is never copied after it is sent. The sender's duplication is two
-// packets, because each path writes its own header fields (service, dst,
-// final_dst): it deep-copies the app packet once for the direct path and
-// sends the original to the cloud.
-using PacketPtr = std::shared_ptr<const Packet>;
+// Hands a packet whose last PacketRef just went to its home pool, or
+// deletes it if it has none (common/packet_pool.cc).
+void release_packet(Packet* p) noexcept;
+
+// Packets are passed by counted handle inside the simulator, so a packet is
+// never copied after it is sent. The sender's duplication is two packets,
+// because each path writes its own header fields (service, dst, final_dst):
+// it deep-copies the app packet once for the direct path and sends the
+// original to the cloud.
+//
+// PacketRef is an intrusive handle, one pointer wide: the count lives in
+// the Packet itself, so there is no separate control block to allocate or
+// miss in cache. The count is a plain integer, not an atomic, because a
+// packet never crosses a thread: each shard owns its Network, its pool and
+// every packet drawn from it, and runs on one worker thread (the TSan CI
+// job checks this across the sharded and churn runners). The last handle
+// to go returns the packet to its home pool, or deletes a heap packet.
+//
+// PacketMut is the mutable handle a factory returns while the packet is
+// being filled in; it converts to PacketPtr, the const handle everything
+// downstream passes around.
+template <typename T>
+class PacketRef {
+  static_assert(std::is_same_v<std::remove_const_t<T>, Packet>);
+
+ public:
+  PacketRef() noexcept = default;
+  PacketRef(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  // Takes a new reference to `p`, which may be new or already held.
+  explicit PacketRef(T* p) noexcept : p_(p) { retain(); }
+  PacketRef(const PacketRef& o) noexcept : p_(o.p_) { retain(); }
+  PacketRef(PacketRef&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+  // PacketMut -> PacketPtr.
+  template <typename U, typename = std::enable_if_t<std::is_convertible_v<U*, T*>>>
+  PacketRef(const PacketRef<U>& o) noexcept : p_(o.p_) {  // NOLINT(google-explicit-constructor)
+    retain();
+  }
+  template <typename U, typename = std::enable_if_t<std::is_convertible_v<U*, T*>>>
+  PacketRef(PacketRef<U>&& o) noexcept  // NOLINT(google-explicit-constructor)
+      : p_(std::exchange(o.p_, nullptr)) {}
+  ~PacketRef() { reset(); }
+
+  // Copy-and-swap: self-assignment and assignment from a handle to the same
+  // packet leave the count unchanged.
+  PacketRef& operator=(PacketRef o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+  PacketRef& operator=(std::nullptr_t) noexcept {
+    reset();
+    return *this;
+  }
+
+  void reset() noexcept {
+    T* p = std::exchange(p_, nullptr);
+    if (p != nullptr && --p->anchor_.refs == 0) release_packet(const_cast<Packet*>(p));
+  }
+
+  T* get() const noexcept { return p_; }
+  T& operator*() const noexcept { return *p_; }
+  T* operator->() const noexcept { return p_; }
+  explicit operator bool() const noexcept { return p_ != nullptr; }
+  std::uint32_t use_count() const noexcept { return p_ != nullptr ? p_->anchor_.refs : 0; }
+
+  friend bool operator==(const PacketRef& a, std::nullptr_t) noexcept { return a.p_ == nullptr; }
+  template <typename U>
+  bool operator==(const PacketRef<U>& o) const noexcept {
+    return p_ == o.get();
+  }
+
+ private:
+  template <typename U>
+  friend class PacketRef;
+
+  void retain() const noexcept {
+    if (p_ != nullptr) ++p_->anchor_.refs;
+  }
+
+  T* p_ = nullptr;
+};
+
+using PacketPtr = PacketRef<const Packet>;
+using PacketMut = PacketRef<Packet>;
+static_assert(sizeof(PacketPtr) == sizeof(void*));
+
+// A blank heap packet, or a heap copy of `src`, with no home pool: its last
+// handle deletes it. The packet path draws from a PacketPool instead; these
+// serve tests, tools and the live runtime.
+inline PacketMut new_packet() { return PacketMut(new Packet()); }
+inline PacketMut new_packet(const Packet& src) { return PacketMut(new Packet(src)); }
 
 // Convenience factories -------------------------------------------------
 //
@@ -128,10 +237,8 @@ class PacketPool;
 
 // A blank packet with the J-QoS header fields set in one call; payload and
 // meta are left for the caller.
-std::shared_ptr<Packet> make_packet(PacketPool& pool, PacketType type,
-                                    ServiceType service, FlowId flow,
-                                    SeqNo seq, NodeId src, NodeId dst,
-                                    SimTime now);
+PacketMut make_packet(PacketPool& pool, PacketType type, ServiceType service,
+                      FlowId flow, SeqNo seq, NodeId src, NodeId dst, SimTime now);
 
 // A data packet with a zero-filled payload of `payload_bytes`.
 PacketPtr make_data_packet(PacketPool& pool, FlowId flow, SeqNo seq, NodeId src,

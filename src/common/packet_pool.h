@@ -1,28 +1,27 @@
 // The pooled Packet recycler behind the packet.h factories.
 //
-// A PacketPtr is a shared_ptr<const Packet>, so a per-packet heap cost hides
-// in two places: the Packet itself (plus its payload / covered-key vectors)
-// and the shared_ptr CONTROL BLOCK. PacketPool recycles both:
+// A PacketPtr is an intrusive handle (packet.h): the count and the packet's
+// home pool live in the Packet itself, so the only per-packet heap cost is
+// the Packet and its payload / covered-key vectors. PacketPool recycles
+// them:
 //
 //  * acquire() pops a scrubbed Packet off a freelist -- payload capacity and
-//    (via engage_meta) covered-key capacity are retained across checkouts --
-//    and wraps it in a shared_ptr whose custom deleter returns the storage
+//    (via engage_meta) covered-key capacity are retained across checkouts.
+//    The packet's home is this pool's core, so its last handle hands it back
 //    here instead of freeing it.
-//  * The shared_ptr is built with a pooling allocator, so the control block
-//    comes from a freelist of fixed-size blocks rather than operator new.
+//  * A disabled pool (JQOS_OBJ_POOL=0) hands out heap packets with no home
+//    (new_packet()), which their last handle deletes.
 //
-// Call sites keep the existing PacketPtr type: a pooled packet is
-// indistinguishable from a heap one, and a disabled pool is plain
-// make_shared (the JQOS_OBJ_POOL=0 passthrough).
+// A pooled packet is indistinguishable from a heap one to every call site.
 //
 // A pool is single-threaded: each netsim::Network owns one (one Network per
 // shard), and only the thread running that shard acquires from it or
-// releases into it, so the freelists are plain vectors with no lock.
-// Packets may outlive the pool facade (a shard's simulator dies after its
-// Network with packets still captured in queued events): the deleter and
-// allocator hold a raw pointer to the pool core, which counts its
-// checked-out storage and deletes itself once the facade is gone AND the
-// last piece of storage has come home.
+// releases into it, so the freelists and the packet counts are plain
+// integers and vectors with no lock and no atomic. Packets may outlive the
+// pool facade (a shard's simulator dies after its Network with packets
+// still captured in queued events): a packet's home is a raw pointer to the
+// pool core, which counts its checked-out packets and deletes itself once
+// the facade is gone AND the last packet has come home.
 //
 // Retained memory is bounded by total bytes (never by object count: a count
 // bound lets a few huge buffers pin unbounded memory); see docs/MEMORY.md
@@ -31,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "common/packet.h"
 
@@ -39,8 +37,8 @@ namespace jqos {
 
 class PacketPool {
  public:
-  // Retained memory bound per pool, across packets, control blocks and
-  // salvaged key vectors.
+  // Retained memory bound per pool, across packets and salvaged key
+  // vectors.
   static constexpr std::size_t kMaxRetainedBytes = 16u << 20;
   // A returned packet whose payload capacity outgrew this has that capacity
   // dropped before pooling (bursts must not fatten the pool).
@@ -50,7 +48,7 @@ class PacketPool {
   // can compare both modes; see env_enabled().
   PacketPool();
   // Marks the core orphaned; the core frees itself once the last
-  // outstanding packet and control block have come home.
+  // outstanding packet has come home.
   ~PacketPool();
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
@@ -59,11 +57,11 @@ class PacketPool {
 
   // A blank mutable packet: header fields default-initialized, payload
   // empty (capacity retained), meta disengaged. Fill it, then hand it off
-  // as PacketPtr. Disabled pool -> plain make_shared.
-  std::shared_ptr<Packet> acquire();
+  // as PacketPtr. Disabled pool -> new_packet().
+  PacketMut acquire();
 
   // A mutable deep copy of `src` into recycled storage.
-  std::shared_ptr<Packet> acquire_copy(const Packet& src);
+  PacketMut acquire_copy(const Packet& src);
 
   // Engages pkt.meta (batch/index/k/r zeroed, covered cleared). An enabled
   // pool hands the covered vector salvaged capacity from previously
@@ -81,13 +79,9 @@ class PacketPool {
   // table in docs/BENCHMARKING.md for the bad-value policy.
   static bool env_enabled();
 
-  // Opaque freelist state (defined in packet_pool.cc); public only so the
-  // file-local deleter and control-block allocator can name it.
-  struct Core;
-
  private:
   bool enabled_;
-  Core* core_;  // Self-deleting once orphaned and drained; see ~PacketPool.
+  PacketPoolCore* core_;  // Self-deleting once orphaned and drained; see ~PacketPool.
 };
 
 }  // namespace jqos

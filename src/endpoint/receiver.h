@@ -208,6 +208,9 @@ class Receiver final : public netsim::Node {
     PacketPtr coop_request;
     SimTime coop_deadline = 0;
   };
+  // A long flow's ring holds 2 * kHistory slots; one-pointer packet handles
+  // keep each at 48 B.
+  static_assert(sizeof(Slot) <= 48);
 
   struct InCodedBatch {
     std::uint32_t batch_id;

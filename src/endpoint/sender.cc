@@ -44,7 +44,7 @@ SeqNo Sender::send_payload(FlowId flow, std::vector<std::uint8_t> payload) {
   return transmit(flow, it->second, std::move(base));
 }
 
-SeqNo Sender::transmit(FlowId flow, FlowState& fs, std::shared_ptr<Packet> base) {
+SeqNo Sender::transmit(FlowId flow, FlowState& fs, PacketMut base) {
   const SeqNo seq = fs.next_seq++;
   const SimTime now = net_.sim().now();
   ++stats_.app_packets;

@@ -99,7 +99,7 @@ class Sender final : public netsim::Node {
     SeqNo next_seq = 0;
   };
 
-  SeqNo transmit(FlowId flow, FlowState& fs, std::shared_ptr<Packet> base);
+  SeqNo transmit(FlowId flow, FlowState& fs, PacketMut base);
 
   netsim::Network& net_;
   NodeId node_id_;

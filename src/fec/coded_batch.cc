@@ -147,7 +147,7 @@ std::vector<PacketPtr> encode_batch(std::span<const PacketPtr> data,
   std::vector<PacketPtr> out;
   out.reserve(num_coded);
   for (std::size_t i = 0; i < parity.size(); ++i) {
-    auto pkt = std::make_shared<Packet>();
+    auto pkt = new_packet();
     pkt->type = coded_type;
     // Coded packets belong to no single flow; flow/seq identify the batch
     // and codeword index instead so logs stay greppable.
@@ -167,7 +167,7 @@ std::vector<PacketPtr> encode_batch(std::span<const PacketPtr> data,
 
 void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_coded,
                                PacketType coded_type, std::uint32_t batch_id, NodeId src,
-                               NodeId dst, SimTime now, std::vector<PacketPtr>& out,
+                               NodeId dst, SimTime now, std::vector<PacketMut>& out,
                                PacketPool& pool) {
   if (data.empty()) throw std::invalid_argument("BatchEncoder::encode_into: empty batch");
   if (data.size() + num_coded > 255) {

@@ -129,7 +129,7 @@ std::vector<PacketPtr> encode_batch(std::span<const PacketPtr> data,
 //
 // Not thread-safe (the arena is shared mutable state); keep one instance
 // per encoding service/thread. Output packets are independently owned
-// shared_ptrs, safe to retain beyond the encoder's lifetime.
+// handles, safe to retain beyond the encoder's lifetime.
 class BatchEncoder {
  public:
   // Zero-copy equivalent of encode_batch: appends `num_coded` coded packets
@@ -139,16 +139,17 @@ class BatchEncoder {
   //
   // The coded packets come from `pool` (recycled storage, payload/covered
   // capacity reused, zero allocator traffic in steady state; a disabled
-  // pool is plain make_shared). The bytes and metadata are identical either
+  // pool makes heap packets). The bytes and metadata are identical either
   // way — the RS kernels fully overwrite the parity buffers, so recycled
-  // payloads need no re-zeroing.
+  // payloads need no re-zeroing. They are handed out mutable so the caller
+  // can set its own header fields (service, final_dst) before sending them.
   //
   // Preconditions: as encode_batch (throws std::invalid_argument on an
   // empty batch or k + num_coded > 255; packets non-null). Complexity:
   // O(k * shard_len) framing + O(k * num_coded * shard_len) field ops.
   void encode_into(std::span<const PacketPtr> data, std::size_t num_coded,
                    PacketType coded_type, std::uint32_t batch_id, NodeId src,
-                   NodeId dst, SimTime now, std::vector<PacketPtr>& out,
+                   NodeId dst, SimTime now, std::vector<PacketMut>& out,
                    PacketPool& pool);
 
   // The scratch arena, exposed for tests (capacity high-water assertions).

@@ -36,7 +36,7 @@ void LiveCachingDc::handle(const Packet& pkt, const UdpEndpoint& from) {
   switch (pkt.type) {
     case PacketType::kData: {
       if (pkt.service != ServiceType::kCache) return;
-      auto stored = std::make_shared<Packet>(pkt);
+      auto stored = new_packet(pkt);
       store_.put(stored, live_now(), kLiveCacheTtl);
       return;
     }

@@ -6,7 +6,7 @@
 // std::function<void()> replacement tuned for the dispatch loop:
 //
 //   - 32 bytes of inline storage: every hot-path closure in the tree fits
-//     (link delivery captures this + PacketPtr = 24 B, timers capture
+//     (link delivery captures this + PacketPtr = 16 B, timers capture
 //     this + a key such as a flow id = 16-24 B), so pushing an event never
 //     allocates.
 //     Larger or not-nothrow-movable callables fall back to one heap

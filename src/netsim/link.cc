@@ -112,7 +112,7 @@ void Link::send(PacketPtr pkt) {
     sim_.at(arrive, [this, out = std::move(out)] { deliver_(out); });
     return;
   }
-  // (this, pkt) is 24 bytes: well inside EventFn's inline buffer, no
+  // (this, pkt) is 16 bytes: well inside EventFn's inline buffer, no
   // std::function is copied on the per-packet path, and the moved-in pkt
   // never touches the refcount.
   sim_.at(arrive, [this, pkt = std::move(pkt)] { deliver_(pkt); });

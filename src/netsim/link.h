@@ -76,7 +76,7 @@ class Link {
   // serialization + queueing + propagation.
   // By-value: a caller sending a temporary (the common fabric path) moves
   // the PacketPtr all the way into the scheduled event, so the hot path
-  // never touches the shared_ptr refcount. Network registers its
+  // never touches the packet's handle count. Network registers its
   // node-dispatch sink once per link, so the per-packet path schedules a
   // small (this, pkt) closure instead of copying a std::function into
   // every event.

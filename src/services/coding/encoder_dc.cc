@@ -150,12 +150,11 @@ void CodingEncoderService::encode_queue(Queue& q, std::size_t coded, PacketType 
   coded_scratch_.clear();
   encoder_.encode_into(q.pkts, coded, type, batch_id, dc_.id(), dc2, dc_.now(),
                        coded_scratch_, dc_.network().pool());
-  for (auto& cp : coded_scratch_) {
+  for (const PacketMut& cp : coded_scratch_) {
     // Coded packets ride the inter-DC path with the coding service tag so
     // the recovery DC claims them on arrival.
-    auto mutable_cp = std::const_pointer_cast<Packet>(cp);
-    mutable_cp->service = ServiceType::kCode;
-    mutable_cp->final_dst = dc2;
+    cp->service = ServiceType::kCode;
+    cp->final_dst = dc2;
     ++stats_.coded_sent;
     dc_.send(cp);
   }

@@ -166,7 +166,7 @@ class CodingEncoderService final : public overlay::DcService {
   // encoder's shard arena grows to the largest batch shape once, then every
   // later batch frames and encodes without touching the allocator.
   fec::BatchEncoder encoder_;
-  std::vector<PacketPtr> coded_scratch_;
+  std::vector<PacketMut> coded_scratch_;
 
   // Ordered by id, so flush_all walks flows in ascending FlowId and groups
   // in ascending NodeId.

@@ -12,7 +12,7 @@ namespace jqos::services {
 namespace {
 
 PacketPtr cached_data(FlowId flow, SeqNo seq, std::size_t bytes = 64) {
-  auto p = std::make_shared<Packet>();
+  auto p = new_packet();
   p->type = PacketType::kData;
   p->service = ServiceType::kCache;
   p->flow = flow;
@@ -109,7 +109,7 @@ TEST(CachingService, CachesTaggedDataOnly) {
   Fixture f;
   auto tagged = cached_data(1, 0);
   EXPECT_TRUE(f.cache->handle(f.dc, tagged));
-  auto untagged = std::make_shared<Packet>();
+  auto untagged = new_packet();
   untagged->type = PacketType::kData;
   untagged->service = ServiceType::kCode;
   EXPECT_FALSE(f.cache->handle(f.dc, untagged));
@@ -121,7 +121,7 @@ TEST(CachingService, PullReturnsRecoveredCopy) {
   auto receiver = f.add_receiver();
   f.cache->handle(f.dc, cached_data(1, 7));
 
-  auto pull = std::make_shared<Packet>();
+  auto pull = new_packet();
   pull->type = PacketType::kPull;
   pull->service = ServiceType::kCache;
   pull->flow = 1;
@@ -140,7 +140,7 @@ TEST(CachingService, PullReturnsRecoveredCopy) {
 TEST(CachingService, PullMissFailsSilently) {
   Fixture f;
   auto receiver = f.add_receiver();
-  auto pull = std::make_shared<Packet>();
+  auto pull = new_packet();
   pull->type = PacketType::kPull;
   pull->service = ServiceType::kCache;
   pull->flow = 1;
@@ -160,7 +160,7 @@ TEST(CachingService, NackServesExplicitMissingList) {
 
   NackInfo info;
   info.missing = {1, 3};
-  auto nack = std::make_shared<Packet>();
+  auto nack = new_packet();
   nack->type = PacketType::kNack;
   nack->service = ServiceType::kCache;
   nack->flow = 2;
@@ -185,7 +185,7 @@ TEST(CachingService, TailNackServesContiguousRun) {
   NackInfo info;
   info.tail = true;
   info.expected = 10;
-  auto nack = std::make_shared<Packet>();
+  auto nack = new_packet();
   nack->type = PacketType::kNack;
   nack->service = ServiceType::kCache;
   nack->flow = 3;
@@ -208,7 +208,7 @@ TEST(CachingService, HybridMulticastServesManyReceivers) {
   auto r2 = f.add_receiver();
   f.cache->handle(f.dc, cached_data(4, 0));
   for (auto* r : {r1.get(), r2.get()}) {
-    auto pull = std::make_shared<Packet>();
+    auto pull = new_packet();
     pull->type = PacketType::kPull;
     pull->service = ServiceType::kCache;
     pull->flow = 4;
@@ -224,7 +224,7 @@ TEST(CachingService, HybridMulticastServesManyReceivers) {
 
 TEST(CachingService, IgnoresForeignNacks) {
   Fixture f;
-  auto nack = std::make_shared<Packet>();
+  auto nack = new_packet();
   nack->type = PacketType::kNack;
   nack->service = ServiceType::kCode;  // Belongs to the coding service.
   EXPECT_FALSE(f.cache->handle(f.dc, nack));

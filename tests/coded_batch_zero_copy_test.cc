@@ -22,7 +22,7 @@ namespace jqos::fec {
 namespace {
 
 PacketPtr make_pkt(FlowId flow, SeqNo seq, std::vector<std::uint8_t> payload) {
-  auto p = std::make_shared<Packet>();
+  auto p = new_packet();
   p->flow = flow;
   p->seq = seq;
   p->payload = std::move(payload);
@@ -45,7 +45,7 @@ std::vector<PacketPtr> random_batch(std::size_t k, std::size_t min_payload,
 }
 
 void expect_identical(const std::vector<PacketPtr>& legacy,
-                      const std::vector<PacketPtr>& zero_copy) {
+                      const std::vector<PacketMut>& zero_copy) {
   ASSERT_EQ(legacy.size(), zero_copy.size());
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     const Packet& a = *legacy[i];
@@ -67,7 +67,7 @@ TEST(BatchEncoderDifferential, RandomShapesMatchLegacyByteForByte) {
   Rng rng(0x5eed);
   PacketPool pool;
   BatchEncoder enc;
-  std::vector<PacketPtr> out;
+  std::vector<PacketMut> out;
   for (int iter = 0; iter < 200; ++iter) {
     const std::size_t k = static_cast<std::size_t>(rng.uniform_int(1, 30));
     const std::size_t r = static_cast<std::size_t>(rng.uniform_int(0, 5));
@@ -90,7 +90,7 @@ TEST(BatchEncoderDifferential, SingleBytePayloadEdge) {
   // empty payload — the smallest frames the pipeline can see.
   auto tiny = random_batch(5, 1, 1, rng);
   auto legacy = encode_batch(tiny, 2, PacketType::kInCoded, 1, 1, 2, 0);
-  std::vector<PacketPtr> out;
+  std::vector<PacketMut> out;
   enc.encode_into(tiny, 2, PacketType::kInCoded, 1, 1, 2, 0, out, pool);
   expect_identical(legacy, out);
 
@@ -114,7 +114,7 @@ TEST(BatchEncoderDifferential, MaxSizePacketEdge) {
   auto legacy = encode_batch(pkts, 2, PacketType::kCrossCoded, 77, 3, 4, 5);
   PacketPool pool;
   BatchEncoder enc;
-  std::vector<PacketPtr> out;
+  std::vector<PacketMut> out;
   enc.encode_into(pkts, 2, PacketType::kCrossCoded, 77, 3, 4, 5, out, pool);
   expect_identical(legacy, out);
 }
@@ -123,7 +123,7 @@ TEST(BatchEncoder, ArenaIsRecycledAcrossShapes) {
   Rng rng(13);
   PacketPool pool;
   BatchEncoder enc;
-  std::vector<PacketPtr> out;
+  std::vector<PacketMut> out;
   // Grow to the high-water shape first.
   auto big = random_batch(20, 1400, 1500, rng);
   out.clear();
@@ -153,7 +153,7 @@ TEST(BatchEncoder, AppendsWithoutClearingOut) {
   PacketPool pool;
   BatchEncoder enc;
   auto pkts = random_batch(3, 10, 20, rng);
-  std::vector<PacketPtr> out;
+  std::vector<PacketMut> out;
   enc.encode_into(pkts, 2, PacketType::kCrossCoded, 1, 1, 2, 0, out, pool);
   ASSERT_EQ(out.size(), 2u);
   enc.encode_into(pkts, 1, PacketType::kCrossCoded, 2, 1, 2, 0, out, pool);
@@ -164,7 +164,7 @@ TEST(BatchEncoder, AppendsWithoutClearingOut) {
 TEST(BatchEncoder, RejectsSameShapesAsLegacy) {
   PacketPool pool;
   BatchEncoder enc;
-  std::vector<PacketPtr> out;
+  std::vector<PacketMut> out;
   EXPECT_THROW(enc.encode_into({}, 2, PacketType::kCrossCoded, 1, 1, 2, 0, out, pool),
                std::invalid_argument);
   Rng rng(15);
@@ -201,14 +201,15 @@ TEST(DecodeBatchArena, MatchesTransientOverloadUnderRandomErasures) {
   PacketPool pool;
   BatchEncoder enc;
   ShardArena decode_arena;
-  std::vector<PacketPtr> coded;
+  std::vector<PacketMut> out;
   for (int iter = 0; iter < 100; ++iter) {
     const std::size_t k = static_cast<std::size_t>(rng.uniform_int(2, 12));
     const std::size_t r = static_cast<std::size_t>(rng.uniform_int(1, 3));
     auto pkts = random_batch(k, 0, 300, rng);
-    coded.clear();
+    out.clear();
     enc.encode_into(pkts, r, PacketType::kCrossCoded, static_cast<std::uint32_t>(iter),
-                    1, 2, 0, coded, pool);
+                    1, 2, 0, out, pool);
+    const std::vector<PacketPtr> coded(out.begin(), out.end());
     const CodedMeta& meta = *coded[0]->meta;
 
     // Drop up to r data packets at random positions.
@@ -246,8 +247,9 @@ TEST(DecodeBatchArena, FailsExactlyLikeTransientOverload) {
   BatchEncoder enc;
   ShardArena decode_arena;
   auto pkts = random_batch(6, 10, 50, rng);
-  std::vector<PacketPtr> coded;
-  enc.encode_into(pkts, 1, PacketType::kCrossCoded, 9, 1, 2, 0, coded, pool);
+  std::vector<PacketMut> out;
+  enc.encode_into(pkts, 1, PacketType::kCrossCoded, 9, 1, 2, 0, out, pool);
+  const std::vector<PacketPtr> coded(out.begin(), out.end());
   const CodedMeta& meta = *coded[0]->meta;
   // Two missing, one coded symbol: both overloads must refuse.
   std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present;

@@ -49,7 +49,7 @@ struct Fixture {
   }
 
   void offer(FlowId flow, SeqNo seq) {
-    auto p = std::make_shared<Packet>();
+    auto p = new_packet();
     p->type = PacketType::kData;
     p->service = ServiceType::kCode;
     p->flow = flow;
@@ -195,7 +195,7 @@ TEST(Encoder, UnregisteredFlowCountedAndConsumed) {
 TEST(Encoder, IgnoresNonCodingPackets) {
   Fixture f(small_params());
   f.register_flows(1);
-  auto p = std::make_shared<Packet>();
+  auto p = new_packet();
   p->type = PacketType::kData;
   p->service = ServiceType::kCache;
   p->flow = 1;

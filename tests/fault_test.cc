@@ -110,7 +110,7 @@ struct LinkFaultFixture {
 
   void send_at(SimTime t) {
     sim.after(t, [this] {
-      auto pkt = std::make_shared<Packet>();
+      auto pkt = new_packet();
       pkt->src = src.id();
       pkt->dst = dst.id();
       pkt->payload.assign(100, 1);
@@ -202,7 +202,7 @@ TEST(FaultInjector, NodeCrashBlackholesThenRestartsCold) {
   auto probe = [&](SimTime t) {
     sim.after(t, [&] {
       if (dc.down()) {
-        auto pkt = std::make_shared<Packet>();
+        auto pkt = new_packet();
         pkt->dst = dc.id();
         dc.handle_packet(pkt);  // Black-holed, counted.
       }
@@ -290,7 +290,7 @@ struct RecoveryCrashFixture {
                    netsim::make_no_loss());
       net.add_link(peer->id(), dc2.id(), netsim::make_fixed_latency(msec(5)),
                    netsim::make_no_loss());
-      auto p = std::make_shared<Packet>();
+      auto p = new_packet();
       p->flow = f;
       p->seq = 1;
       p->payload.assign(48, static_cast<std::uint8_t>(f));
@@ -300,7 +300,7 @@ struct RecoveryCrashFixture {
     }
     for (const auto& c : fec::encode_batch(data_pkts, 1, PacketType::kCrossCoded,
                                            batch_id, 1, dc2.id(), 0)) {
-      auto copy = std::make_shared<Packet>(*c);
+      auto copy = new_packet(*c);
       copy->service = ServiceType::kCode;
       dc2.handle_packet(copy);
     }
@@ -309,7 +309,7 @@ struct RecoveryCrashFixture {
   void nack(FlowId flow) {
     NackInfo info;
     info.missing = {1};
-    auto pkt = std::make_shared<Packet>();
+    auto pkt = new_packet();
     pkt->type = PacketType::kNack;
     pkt->service = ServiceType::kCode;
     pkt->flow = flow;

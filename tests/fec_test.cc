@@ -244,7 +244,7 @@ TEST(ReedSolomon, EncodeIntoMatchesEncode) {
 std::vector<PacketPtr> make_batch(std::size_t k, std::size_t base_size, Rng& rng) {
   std::vector<PacketPtr> pkts;
   for (std::size_t i = 0; i < k; ++i) {
-    auto p = std::make_shared<Packet>();
+    auto p = new_packet();
     p->flow = static_cast<FlowId>(i + 1);
     p->seq = static_cast<SeqNo>(100 + i);
     // Different sizes per packet: the batch must pad correctly.

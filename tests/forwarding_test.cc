@@ -48,7 +48,7 @@ TEST(Forwarding, RelaysTowardFinalDestination) {
   // route via DC2 (pinned next hop), DC2 delivers to the receiver.
   f.fwd1->set_next_hop(receiver->id(), f.dc2.id());
 
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = new_packet();
   pkt->type = PacketType::kData;
   pkt->service = ServiceType::kForward;
   pkt->flow = 1;
@@ -67,7 +67,7 @@ TEST(Forwarding, RelaysTowardFinalDestination) {
 TEST(Forwarding, DirectWhenNoRoutePinned) {
   Fixture f;
   auto receiver = f.make_sink_with_links_from(f.dc1);
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = new_packet();
   pkt->service = ServiceType::kForward;
   pkt->dst = f.dc1.id();
   pkt->final_dst = receiver->id();
@@ -78,11 +78,11 @@ TEST(Forwarding, DirectWhenNoRoutePinned) {
 
 TEST(Forwarding, IgnoresPacketsTerminatingHere) {
   Fixture f;
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = new_packet();
   pkt->dst = f.dc1.id();
   pkt->final_dst = f.dc1.id();
   EXPECT_FALSE(f.fwd1->handle(f.dc1, pkt));
-  auto local = std::make_shared<Packet>();
+  auto local = new_packet();
   local->dst = f.dc1.id();
   local->final_dst = kInvalidNode;
   EXPECT_FALSE(f.fwd1->handle(f.dc1, local));
@@ -96,7 +96,7 @@ TEST(Forwarding, MulticastFansOutToAllMembers) {
   const NodeId group = kMulticastBase + 1;
   f.fwd1->set_multicast_group(group, {r1->id(), r2->id(), r3->id()});
 
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = new_packet();
   pkt->service = ServiceType::kForward;
   pkt->dst = f.dc1.id();
   pkt->final_dst = group;
@@ -114,7 +114,7 @@ TEST(Forwarding, MulticastFansOutToAllMembers) {
 
 TEST(Forwarding, UnknownMulticastGroupCounted) {
   Fixture f;
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = new_packet();
   pkt->dst = f.dc1.id();
   pkt->final_dst = kMulticastBase + 99;
   EXPECT_TRUE(f.fwd1->handle(f.dc1, pkt));
@@ -126,7 +126,7 @@ TEST(Forwarding, EgressChargedTwiceOnFullOverlay) {
   Fixture f;
   auto receiver = f.make_sink_with_links_from(f.dc2);
   f.fwd1->set_next_hop(receiver->id(), f.dc2.id());
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = new_packet();
   pkt->service = ServiceType::kForward;
   pkt->dst = f.dc1.id();
   pkt->final_dst = receiver->id();

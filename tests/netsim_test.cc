@@ -384,7 +384,7 @@ TEST(Link, BandwidthSerializesFifo) {
   std::vector<SimTime> arrivals;
   link.set_deliver([&](const PacketPtr&) { arrivals.push_back(sim.now()); });
   for (int i = 0; i < 3; ++i) {
-    auto p = std::make_shared<Packet>();
+    auto p = new_packet();
     p->dst = 2;
     p->payload.assign(100 - packet_header_bytes(), 0);
     link.send(p);

@@ -74,6 +74,8 @@ TEST(PacketPoolTest, EnvGateReadAtConstruction) {
   }
 }
 
+// Packets carry their handle count inline (no separate control block), so
+// recycling the Packet recycles all of a packet's storage.
 TEST(PacketPoolTest, AcquireRecyclesStorageAndControlBlock) {
   const EnvVarGuard on("JQOS_OBJ_POOL", pool_mode(true));
   PacketPool pool;
@@ -139,9 +141,10 @@ TEST(PacketPoolTest, AcquireCopyIsDeep) {
 }
 
 TEST(PacketPoolTest, PacketsOutliveThePool) {
-  // The deleter and control-block allocator hold the Core alive, so a packet
-  // that outlives its pool (shard teardown with in-flight packets) recycles
-  // into a still-live freelist and the storage dies with the last reference.
+  // Outstanding packets hold the Core alive through their home pointer, so a
+  // packet that outlives its pool (shard teardown with in-flight packets)
+  // recycles into a still-live freelist and the storage dies with the last
+  // reference.
   PacketPtr survivor;
   {
     const EnvVarGuard on("JQOS_OBJ_POOL", pool_mode(true));
@@ -152,6 +155,176 @@ TEST(PacketPoolTest, PacketsOutliveThePool) {
   }
   EXPECT_EQ(survivor->payload.size(), 64u);
   survivor.reset();  // Must not crash; ASan validates.
+}
+
+// --- PacketRef ------------------------------------------------------------
+
+TEST(PacketRefTest, CopyMoveSelfAssignAndResetKeepTheCount) {
+  const EnvVarGuard on("JQOS_OBJ_POOL", pool_mode(true));
+  PacketPool pool;
+  PacketPtr a = pool.acquire();
+  EXPECT_EQ(a.use_count(), 1u);
+
+  PacketPtr b = a;  // Copy.
+  EXPECT_EQ(a.use_count(), 2u);
+  EXPECT_EQ(a, b);
+
+  PacketPtr c = std::move(b);  // Move: no count change, source emptied.
+  EXPECT_EQ(a.use_count(), 2u);
+  EXPECT_EQ(b, nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.use_count(), 0u);
+
+  PacketPtr& same = c;  // Through a reference, so the compiler allows it.
+  c = same;  // Self-assignment.
+  EXPECT_EQ(a.use_count(), 2u);
+  c = std::move(same);  // Self-move.
+  EXPECT_EQ(a.use_count(), 2u);
+  EXPECT_EQ(c, a);
+  c = a;  // Assignment from another handle to the same packet.
+  EXPECT_EQ(a.use_count(), 2u);
+
+  PacketPtr d;
+  d = a;  // Copy-assign into an empty handle.
+  EXPECT_EQ(a.use_count(), 3u);
+  d = nullptr;
+  EXPECT_EQ(a.use_count(), 2u);
+  EXPECT_FALSE(d);
+  c.reset();
+  EXPECT_EQ(a.use_count(), 1u);
+  c.reset();  // Resetting an empty handle is a no-op.
+  EXPECT_EQ(a.use_count(), 1u);
+
+  // Reassigning a handle to another packet releases the old one.
+  PacketPtr e = pool.acquire();
+  EXPECT_EQ(pool.outstanding(), 2u);
+  e = a;
+  EXPECT_EQ(pool.outstanding(), 1u);
+  EXPECT_EQ(a.use_count(), 2u);
+
+  // A new handle to an already-held packet joins its count.
+  PacketPtr f(a.get());
+  EXPECT_EQ(a.use_count(), 3u);
+  EXPECT_EQ(pool.outstanding(), 1u);
+}
+
+TEST(PacketRefTest, MutableHandleConvertsToConst) {
+  const EnvVarGuard on("JQOS_OBJ_POOL", pool_mode(true));
+  PacketPool pool;
+  PacketMut m = pool.acquire();
+  m->seq = 7;
+  PacketPtr copied = m;  // Copy-converts: both hold the packet.
+  EXPECT_EQ(m.use_count(), 2u);
+  EXPECT_EQ(copied, m);
+  EXPECT_EQ(copied->seq, 7u);
+  PacketPtr moved = std::move(m);  // Move-converts: the count is handed over.
+  EXPECT_EQ(m, nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.use_count(), 2u);
+  EXPECT_EQ(moved.get(), copied.get());
+  // Writes through the mutable handle show through the const one.
+  PacketMut again = pool.acquire();
+  PacketPtr view = again;
+  again->flow = 11;
+  EXPECT_EQ(view->flow, 11u);
+}
+
+TEST(PacketRefTest, LastReleaseReturnsToThePool) {
+  const EnvVarGuard on("JQOS_OBJ_POOL", pool_mode(true));
+  PacketPool pool;
+  PacketPtr a = pool.acquire();
+  PacketPtr b = a;
+  EXPECT_EQ(pool.outstanding(), 1u);
+  a.reset();
+  EXPECT_EQ(pool.outstanding(), 1u);  // b still holds it.
+  b.reset();
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_GT(pool.pooled_bytes(), 0u);
+  auto again = pool.acquire();
+  EXPECT_EQ(pool.reused(), 1u);
+  EXPECT_EQ(pool.fresh(), 1u);
+  EXPECT_EQ(again.use_count(), 1u);  // A recycled packet starts with one handle.
+}
+
+TEST(PacketRefTest, HeapPacketsAreFreed) {
+  // new_packet() and a disabled pool make packets with no home pool; their
+  // last handle deletes them (ASan's leak check fails the suite otherwise).
+  {
+    PacketMut p = new_packet();
+    p->payload.assign(100, 1);
+    PacketPtr q = p;
+    p.reset();
+    EXPECT_EQ(q.use_count(), 1u);
+  }
+  const EnvVarGuard off("JQOS_OBJ_POOL", pool_mode(false));
+  PacketPool pool;
+  PacketPtr kept;
+  {
+    auto p = pool.acquire();
+    auto c = pool.acquire_copy(*p);
+    kept = c;
+  }
+  EXPECT_EQ(pool.outstanding(), 0u);  // A disabled pool counts nothing.
+  EXPECT_EQ(kept.use_count(), 1u);
+}
+
+TEST(PacketRefTest, PacketsOutlivingThePoolFreeCleanly) {
+  // Several packets, some shared, survive their pool and die in mixed order;
+  // the Core goes with the last one (ASan checks the frees).
+  std::vector<PacketPtr> survivors;
+  PacketPtr shared;
+  {
+    const EnvVarGuard on("JQOS_OBJ_POOL", pool_mode(true));
+    PacketPool pool;
+    for (int i = 0; i < 4; ++i) {
+      auto p = pool.acquire();
+      pool.engage_meta(*p).covered.push_back(PacketKey{1, static_cast<SeqNo>(i)});
+      survivors.push_back(std::move(p));
+    }
+    shared = survivors[1];
+    auto released = pool.acquire();  // Pooled before the facade dies.
+  }
+  survivors[1].reset();
+  EXPECT_EQ(shared.use_count(), 1u);
+  survivors.erase(survivors.begin());
+  PacketPtr late_copy = survivors.back();  // New handles after the pool died.
+  survivors.clear();
+  late_copy.reset();
+  shared.reset();  // The last packet home: the orphaned Core frees itself.
+}
+
+TEST(PacketRefTest, CopyingAPacketCopiesNeitherCountNorHome) {
+  const EnvVarGuard on("JQOS_OBJ_POOL", pool_mode(true));
+  PacketPool pool;
+  PacketMut pooled = pool.acquire();
+  pooled->seq = 5;
+  PacketPtr extra = pooled;
+  EXPECT_EQ(pooled.use_count(), 2u);
+
+  // A heap copy starts with its own single handle and no home: releasing it
+  // deletes it and never touches the pool.
+  PacketPtr heap = new_packet(*pooled);
+  EXPECT_EQ(heap.use_count(), 1u);
+  EXPECT_EQ(heap->seq, 5u);
+  heap.reset();
+  EXPECT_EQ(pool.outstanding(), 1u);
+  EXPECT_EQ(pooled.use_count(), 2u);
+
+  // Copy-assigning over a held packet keeps that packet's count and home.
+  PacketMut other = pool.acquire();
+  *other = *pooled;
+  EXPECT_EQ(other.use_count(), 1u);
+  EXPECT_EQ(pooled.use_count(), 2u);
+  EXPECT_EQ(pool.outstanding(), 2u);
+  other.reset();
+  EXPECT_EQ(pool.outstanding(), 1u);  // It went home to the pool.
+
+  // A value copy, and a pool copy, are new packets with one handle each.
+  const Packet value = *pooled;
+  PacketPtr from_value = new_packet(value);
+  EXPECT_EQ(from_value.use_count(), 1u);
+  PacketPtr pool_copy = pool.acquire_copy(*pooled);
+  EXPECT_EQ(pool_copy.use_count(), 1u);
+  EXPECT_EQ(pooled.use_count(), 2u);
+  EXPECT_EQ(pool.outstanding(), 2u);
 }
 
 TEST(PacketPoolTest, FactoriesProduceIdenticalPacketsPooledOrNot) {

@@ -177,7 +177,7 @@ TEST(QdiscConfig, KindNamesRoundTripAndResolve) {
 // ---- Link integration ----------------------------------------------------
 
 PacketPtr make_test_packet(std::size_t payload_bytes, bool ect) {
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = new_packet();
   pkt->type = PacketType::kData;
   pkt->flow = 1;
   pkt->ecn_capable = ect;

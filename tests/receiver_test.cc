@@ -51,7 +51,7 @@ struct Fixture {
   }
 
   void arrive(SeqNo seq, PacketType type = PacketType::kData) {
-    auto p = std::make_shared<Packet>();
+    auto p = new_packet();
     p->type = type;
     p->flow = 1;
     p->seq = seq;
@@ -61,7 +61,7 @@ struct Fixture {
   }
 
   void coop_request(SeqNo seq) {
-    auto req = std::make_shared<Packet>();
+    auto req = new_packet();
     req->type = PacketType::kCoopRequest;
     req->flow = 1;
     req->seq = seq;
@@ -143,7 +143,7 @@ TEST(Receiver, CoopRequestAnsweredFromBuffer) {
   Fixture f;
   f.arrive(0);
   f.arrive(1);
-  auto req = std::make_shared<Packet>();
+  auto req = new_packet();
   req->type = PacketType::kCoopRequest;
   req->flow = 1;
   req->seq = 1;
@@ -166,7 +166,7 @@ TEST(Receiver, CoopRequestForLostPacketIsMiss) {
   Fixture f;
   f.arrive(0);
   f.arrive(2);  // Seq 1 was lost on the direct path.
-  auto req = std::make_shared<Packet>();
+  auto req = new_packet();
   req->type = PacketType::kCoopRequest;
   req->flow = 1;
   req->seq = 1;
@@ -182,7 +182,7 @@ TEST(Receiver, CoopRequestForFuturePacketDeferredUntilArrival) {
   // a packet not seen yet is held and answered on arrival.
   Fixture f;
   f.arrive(0);
-  auto req = std::make_shared<Packet>();
+  auto req = new_packet();
   req->type = PacketType::kCoopRequest;
   req->flow = 1;
   req->seq = 1;
@@ -283,7 +283,7 @@ TEST(Receiver, NackCheckConfirmedOnlyWhenMissing) {
   Fixture f;
   f.arrive(0);
   f.arrive(2);  // 1 missing.
-  auto check = std::make_shared<Packet>();
+  auto check = new_packet();
   check->type = PacketType::kNackCheck;
   check->flow = 1;
   check->seq = 1;
@@ -293,7 +293,7 @@ TEST(Receiver, NackCheckConfirmedOnlyWhenMissing) {
   EXPECT_EQ(f.dc.of_type(PacketType::kNackConfirm).size(), 1u);
 
   // A check for a delivered seq stays silent.
-  auto spurious = std::make_shared<Packet>(*check);
+  auto spurious = new_packet(*check);
   spurious->seq = 0;
   f.receiver->handle_packet(spurious);
   f.sim.run();
@@ -305,7 +305,7 @@ TEST(Receiver, SelfDecodesInStreamCodedPacket) {
   // Build the in-stream batch the encoder would have made for seqs 0-4.
   std::vector<PacketPtr> data;
   for (SeqNo s = 0; s < 5; ++s) {
-    auto p = std::make_shared<Packet>();
+    auto p = new_packet();
     p->flow = 1;
     p->seq = s;
     p->payload.assign(32, static_cast<std::uint8_t>(s * 3));
@@ -316,7 +316,7 @@ TEST(Receiver, SelfDecodesInStreamCodedPacket) {
   // Receiver got all but seq 2, then the coded packet from DC2.
   for (SeqNo s = 0; s < 5; ++s) {
     if (s == 2) continue;
-    auto p = std::make_shared<Packet>(*data[s]);
+    auto p = new_packet(*data[s]);
     p->type = PacketType::kData;
     f.receiver->handle_packet(p);
   }
@@ -340,7 +340,7 @@ TEST(Receiver, InStreamBatchIsEvictedByTheSixtyFourthNewerBatch) {
   auto in_batch = [](std::uint32_t batch_id, SeqNo first) {
     std::vector<PacketPtr> data;
     for (SeqNo s = first; s < first + 5; ++s) {
-      auto p = std::make_shared<Packet>();
+      auto p = new_packet();
       p->flow = 1;
       p->seq = s;
       p->payload.assign(32, static_cast<std::uint8_t>(s * 3));
@@ -533,7 +533,7 @@ TEST(Receiver, SingleTimeoutModeSendsMoreNacks) {
 
 TEST(Receiver, UnknownFlowIgnored) {
   Fixture f;
-  auto p = std::make_shared<Packet>();
+  auto p = new_packet();
   p->type = PacketType::kData;
   p->flow = 99;
   p->seq = 0;

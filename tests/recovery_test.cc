@@ -32,7 +32,7 @@ struct Peer final : netsim::Node {
     if (pkt->type == PacketType::kCoopRequest && !straggler) {
       auto it = data.find(pkt->seq);
       if (it == data.end()) return;
-      auto resp = std::make_shared<Packet>();
+      auto resp = new_packet();
       resp->type = PacketType::kCoopResponse;
       resp->service = ServiceType::kCode;
       resp->flow = pkt->flow;
@@ -46,7 +46,7 @@ struct Peer final : netsim::Node {
     if (pkt->type == PacketType::kNackCheck && confirm_checks) {
       NackInfo info;
       info.missing = {pkt->seq};
-      auto confirm = std::make_shared<Packet>();
+      auto confirm = new_packet();
       confirm->type = PacketType::kNackConfirm;
       confirm->service = ServiceType::kCode;
       confirm->flow = pkt->flow;
@@ -110,7 +110,7 @@ struct Fixture {
                                       std::uint32_t batch_id) {
     std::vector<PacketPtr> data_pkts;
     for (FlowId f = 1; f <= k; ++f) {
-      auto p = std::make_shared<Packet>();
+      auto p = new_packet();
       p->flow = f;
       p->seq = seq;
       p->payload = payload_of(f, seq);
@@ -124,7 +124,7 @@ struct Fixture {
   std::vector<PacketPtr> encode_in(FlowId flow, SeqNo first, std::uint32_t batch_id) {
     std::vector<PacketPtr> data_pkts;
     for (SeqNo s = first; s < first + 5; ++s) {
-      auto p = std::make_shared<Packet>();
+      auto p = new_packet();
       p->flow = flow;
       p->seq = s;
       p->payload = payload_of(flow, s);
@@ -141,7 +141,7 @@ struct Fixture {
 
   void deliver_coded(const std::vector<PacketPtr>& coded) {
     for (const auto& c : coded) {
-      auto copy = std::make_shared<Packet>(*c);
+      auto copy = new_packet(*c);
       copy->service = ServiceType::kCode;
       dc2.handle_packet(copy);
     }
@@ -153,7 +153,7 @@ struct Fixture {
     info.tail = tail;
     info.expected = expected;
     info.missing = std::move(missing);
-    auto nack = std::make_shared<Packet>();
+    auto nack = new_packet();
     nack->type = PacketType::kNack;
     nack->service = ServiceType::kCode;
     nack->flow = flow;
@@ -219,7 +219,7 @@ TEST(Recovery, InStreamServedForSingleLoss) {
   f.registry->register_flow(9, FlowInfo{f.dc2.id(), peer->id()});
   std::vector<PacketPtr> data;
   for (SeqNo s = 0; s < 5; ++s) {
-    auto p = std::make_shared<Packet>();
+    auto p = new_packet();
     p->flow = 9;
     p->seq = s;
     p->payload.assign(32, static_cast<std::uint8_t>(s));
@@ -247,7 +247,7 @@ TEST(Recovery, MultiLossNackPrefersCooperative) {
   // Same flows, second packet each, second batch.
   std::vector<PacketPtr> data_pkts;
   for (FlowId flow = 1; flow <= 4; ++flow) {
-    auto p = std::make_shared<Packet>();
+    auto p = new_packet();
     p->flow = flow;
     p->seq = 1;
     p->payload.assign(48, static_cast<std::uint8_t>(flow + 100));
@@ -303,7 +303,7 @@ TEST(Recovery, TailNackRecoversForwardRun) {
     } else {
       std::vector<PacketPtr> data_pkts;
       for (FlowId flow = 1; flow <= 4; ++flow) {
-        auto p = std::make_shared<Packet>();
+        auto p = new_packet();
         p->flow = flow;
         p->seq = s;
         p->payload.assign(48, static_cast<std::uint8_t>(flow * 3 + s));
@@ -334,7 +334,7 @@ TEST(Recovery, BatchTtlSweepsOldBatches) {
   // Heartbeat packets keep the sweep running past the TTL.
   for (int i = 1; i <= 8; ++i) {
     f.sim.run_until(sec(i));
-    auto hb = std::make_shared<Packet>();
+    auto hb = new_packet();
     hb->type = PacketType::kControl;
     f.recovery->handle(f.dc2, hb);
   }
@@ -354,7 +354,7 @@ TEST(Recovery, StragglerResponseAfterCompletionCounted) {
   // that already count as stragglers. Record the baseline.
   const std::uint64_t baseline = f.recovery->stats().straggler_responses;
   // A late duplicate response arrives after the op closed.
-  auto resp = std::make_shared<Packet>();
+  auto resp = new_packet();
   resp->type = PacketType::kCoopResponse;
   resp->service = ServiceType::kCode;
   resp->flow = 2;
@@ -516,7 +516,7 @@ TEST(Recovery, RepeatedKeyInOneBatchLeavesOtherBatchesIndexed) {
   Peer& peer = *f.peers.back();
   std::vector<PacketPtr> data_pkts;
   for (SeqNo s : {2, 2, 3}) {
-    auto p = std::make_shared<Packet>();
+    auto p = new_packet();
     p->flow = 9;
     p->seq = s;
     p->payload = Fixture::payload_of(9, s);

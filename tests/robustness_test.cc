@@ -97,7 +97,7 @@ TEST_P(CodedBatchSweep, RecoversIffEnoughSymbolsSurvive) {
   Rng rng(1000 + k * 31 + r * 7 + losses);
   std::vector<PacketPtr> pkts;
   for (std::size_t i = 0; i < k; ++i) {
-    auto p = std::make_shared<Packet>();
+    auto p = new_packet();
     p->flow = static_cast<FlowId>(i + 1);
     p->seq = 7;
     p->payload.resize(16 + (i * 29) % 64);

@@ -73,7 +73,7 @@ TEST(SteadyStateAlloc, SenderDuplicationPathIsAllocationFree) {
     sim.run();
   };
 
-  // Warmup: fill the packet/control-block freelists, the sinks' vectors,
+  // Warmup: fill the packet freelists, the sinks' vectors,
   // and the event-queue backing store to their steady footprint.
   for (int round = 0; round < 16; ++round) pump();
 
